@@ -2,8 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-ablate bench-agenda \
-	bench-baseline bench-parallel \
+.PHONY: install test bench bench-smoke bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
 	all clean
@@ -40,20 +39,6 @@ bench-smoke:
 		--scale short --out /tmp/bench-smoke \
 		--compare BENCH_baseline.json --fail-over 25
 	@echo "bench-smoke: digests match baseline, throughput in budget"
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_agenda.py --quick
-	@echo "bench-smoke: agenda microbenchmark (informational, not gated)"
-
-# Per-switch ablation proof: every optimization switch individually
-# disabled must reproduce the all-on digest (covers agenda_calendar,
-# batch_delivery and object_pool along with the older switches).
-bench-ablate:
-	PYTHONPATH=src $(PYTHON) -m repro bench event-loop shuttle-storm \
-		--ablate --seed 42 --scale short
-	@echo "bench-ablate: per-switch digests stable"
-
-# Full heap-vs-calendar agenda profile table (informational).
-bench-agenda:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_agenda.py
 
 # Sharded-execution gate: run every shardable scenario partitioned
 # across 2 worker processes and require byte-identical digests against
@@ -69,10 +54,9 @@ bench-parallel:
 		--compare BENCH_baseline.json --fail-over 90
 	@echo "bench-parallel: 2-shard digests byte-identical to the single-shard baseline"
 
-# Regenerate the committed baseline (runs with every optimization
-# switch off — default runs then double as the optimization proof).
+# Regenerate the committed baseline.
 bench-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro bench --all --no-opt --seed 42 \
+	PYTHONPATH=src $(PYTHON) -m repro bench --all --seed 42 \
 		--scale short --repeats 3 --out /tmp/bench-baseline \
 		--combined BENCH_baseline.json
 
@@ -127,17 +111,14 @@ shardcheck:
 	PYTHONPATH=src $(PYTHON) -m repro shardcheck src/ --statistics
 	@echo "shardcheck: worker-reachable code is shard-safe"
 
-# Determinism-sanitizer gate, three legs: (1) a taped run of every
+# Determinism-sanitizer gate, two legs: (1) a taped run of every
 # scenario must reproduce the committed sanitizer-off baseline digest
-# (recording never perturbs a draw); (2) an optimizations-off A/B diff
-# must find zero divergent draws; (3) a deliberately injected draw
+# (recording never perturbs a draw); (2) a deliberately injected draw
 # perturbation MUST be caught and localized to its stream + call site
 # (the detector detects).
 sanitize-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro sanitize --all --scale short \
 		--compare BENCH_baseline.json
-	PYTHONPATH=src $(PYTHON) -m repro sanitize event-loop \
-		--scale tiny --against no-opt
 	@if PYTHONPATH=src $(PYTHON) -m repro sanitize event-loop \
 		--scale tiny --inject perf.event_loop@5 \
 		> /tmp/sanitize-inject.txt; then \

@@ -22,8 +22,6 @@ from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
 
 import numpy as np
 
-from ..perf.switches import switches as _opt
-
 #: Below this many samples the vectorized batch path costs more than
 #: the scalar loop it replaces.
 _BATCH_MIN = 8
@@ -158,12 +156,12 @@ class FeedbackBus:
         expression evaluated elementwise in float64, controller state
         transitions and obs routing run per item in item order, and a
         batch with duplicate keys (whose EWMAs chain within the batch)
-        falls back to the scalar loop.  Behind ``perf.switches.
-        batch_delivery``; returns the new smoothed levels.
+        falls back to the scalar loop, as does a batch smaller than
+        ``_BATCH_MIN``.  Returns the new smoothed levels.
         """
         items = list(items)
         n = len(items)
-        if not _opt.batch_delivery or n < _BATCH_MIN:
+        if n < _BATCH_MIN:
             return [self.observe(dimension, key, metric, value)
                     for key, value in items]
         tags: List[Tag] = [(dimension, key, metric) for key, _ in items]

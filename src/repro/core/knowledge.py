@@ -29,7 +29,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..perf.switches import switches as _opt
 
 #: Below this many facts the vectorized sweep costs more than the
 #: scalar pass it replaces.
@@ -285,7 +284,7 @@ class KnowledgeBase:
     # -- lifetime ------------------------------------------------------------
     def sweep(self, now: float) -> List[Fact]:
         """Evict every fact below its frequency threshold; returns them."""
-        if _opt.batch_delivery and len(self._facts) >= _SWEEP_BATCH_MIN:
+        if len(self._facts) >= _SWEEP_BATCH_MIN:
             dead = self._sweep_dead_vector(now)
         else:
             dead = [f for f in self._facts.values()
@@ -346,12 +345,10 @@ class KnowledgeBase:
         runs agree and the digest is stable between membership changes.
 
         The canonical-JSON/sha256 encoding is recomputed only when a
-        fact was inserted or removed since the last call
-        (``perf.switches.digest_cache``); weight touches preserve
-        membership and correctly reuse the cache.
+        fact was inserted or removed since the last call; weight
+        touches preserve membership and correctly reuse the cache.
         """
-        if _opt.digest_cache and not self._digest_dirty \
-                and self._digest is not None:
+        if not self._digest_dirty and self._digest is not None:
             self.digest_hits += 1
             return self._digest
         content = sorted((fact.fact_class, repr(fact.value),

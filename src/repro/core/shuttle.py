@@ -23,8 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from ..obs import TRACE_META_KEY
-from ..perf import pool as _pool
-from ..perf.switches import switches as _opt
 from ..substrates.hardware import Bitstream
 from ..substrates.nodeos import CodeModule
 from ..substrates.phys import Datagram
@@ -243,36 +241,15 @@ class Shuttle(Datagram, Ployon):
         return self
 
     def clone(self) -> "Shuttle":
-        if _opt.cow_clone:
-            return self._fast_clone()
-        twin = Shuttle(self.src, self.dst,
-                       directives=list(self.directives),
-                       credential=self.credential,
-                       interface=self.interface,
-                       target_class=self.target_class,
-                       ttl=self.ttl, data=self.data, flow_id=self.flow_id)
-        twin.created_at = self.created_at
-        twin.hops = self.hops
-        twin.meta = copy_meta(self.meta)
-        return twin
-
-    def _fast_clone(self) -> "Shuttle":
         """Slot-for-slot clone skipping the constructor.
 
-        Draws exactly one packet id and one ployon id — the same counter
-        consumption as the eager path — so downstream flow ids and run
-        digests are byte-identical whichever path produced the twin.
-        Frozen cargo is shared (CoW); unfrozen cargo is shallow-copied
-        to preserve the eager path's isolation.  Every eager-path quirk
-        is replicated: ``payload`` is dropped, ``morphs`` resets to 0,
-        size/manifest are carried over instead of recomputed.
+        Draws exactly one packet id and one ployon id, the same counter
+        consumption as a fresh construction.  Frozen cargo is shared
+        (copy-on-write); unfrozen cargo is shallow-copied so the twin's
+        list is its own.  ``payload`` is dropped, ``morphs`` resets to
+        0, and size/manifest are carried over instead of recomputed.
         """
-        if _opt.object_pool:
-            twin = _pool.shuttle_pool.grab()
-            if twin is None:
-                twin = Shuttle.__new__(Shuttle)
-        else:
-            twin = Shuttle.__new__(Shuttle)
+        twin = Shuttle.__new__(Shuttle)
         twin.packet_id = next(_packet_ids)
         twin.src = self.src
         twin.dst = self.dst
@@ -293,22 +270,6 @@ class Shuttle(Datagram, Ployon):
         twin.morphs = 0
         twin.data = self.data
         return twin
-
-    def _scrub(self) -> "Shuttle":
-        """Drop every object reference before free-list parking
-        (``perf.switches.object_pool``); the next :meth:`_fast_clone`
-        acquire reassigns every slot."""
-        self.src = None
-        self.dst = None
-        self.payload = None
-        self.meta = None
-        self.flow_id = None
-        self.directives = ()
-        self.credential = None
-        self.interface = None
-        self.target_class = None
-        self.data = None
-        return self
 
     def __repr__(self) -> str:
         ops = [d.op for d in self.directives]
@@ -340,35 +301,16 @@ class Jet(Shuttle):
         self.size_bytes += 32  # replication header
 
     def spawn_copy(self, new_dst: Hashable, budget: int) -> "Jet":
-        if _opt.cow_clone:
-            return self._fast_spawn_copy(new_dst, budget)
-        copy = Jet(self.src, new_dst, directives=list(self.directives),
-                   replicate_budget=budget, max_fanout=self.max_fanout,
-                   credential=self.credential, interface=self.interface,
-                   target_class=self.target_class, ttl=self.ttl,
-                   flow_id=self.flow_id)
-        copy.visited = set(self.visited)
-        copy.meta = copy_meta(self.meta)
-        copy.meta["jet_copy"] = True
-        return copy
+        """Slot-for-slot replica toward ``new_dst`` skipping the
+        constructor (copy-on-write cargo, as in :meth:`Shuttle.clone`).
 
-    def _fast_spawn_copy(self, new_dst: Hashable, budget: int) -> "Jet":
-        """Slot-for-slot replica skipping the constructor (CoW cargo).
-
-        Mirrors the eager path exactly, including its quirks: the copy
-        drops ``payload``/``data``, starts at ``created_at=0.0`` and
-        ``hops=0``, resets ``morphs``, and consumes one packet id plus
-        one ployon id — so a jet flood's run digest is identical with
-        the optimization on or off.
+        The copy drops ``payload``/``data``, starts at
+        ``created_at=0.0`` and ``hops=0``, resets ``morphs``, and
+        consumes one packet id plus one ployon id.
         """
         if budget < 0:
             raise ValueError("negative replicate budget")
-        if _opt.object_pool:
-            copy = _pool.jet_pool.grab()
-            if copy is None:
-                copy = Jet.__new__(Jet)
-        else:
-            copy = Jet.__new__(Jet)
+        copy = Jet.__new__(Jet)
         copy.packet_id = next(_packet_ids)
         copy.src = self.src
         copy.dst = new_dst
@@ -400,17 +342,7 @@ class Jet(Shuttle):
         twin.hops = self.hops
         return twin
 
-    def _scrub(self) -> "Jet":
-        super()._scrub()
-        self.visited = None
-        return self
-
     def __repr__(self) -> str:
         return (f"<Jet #{self.packet_id} {self.src}->{self.dst} "
                 f"budget={self.replicate_budget}>")
 
-
-# Exact-type release dispatch for the fabric's delivery terminus (the
-# physical substrate must not import core classes directly).
-_pool.register(Shuttle, _pool.shuttle_pool)
-_pool.register(Jet, _pool.jet_pool)

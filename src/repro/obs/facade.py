@@ -20,7 +20,6 @@ import hashlib
 import json
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from ..perf.switches import switches as _opt
 from .profiler import KernelProfiler
 from .registry import (DEFAULT_BUCKETS, PER_CONFIGURATION, PER_DATA_LINK,
                        PER_MESSAGE, PER_METHOD, PER_MULTICAST_BRANCH,
@@ -233,8 +232,8 @@ class Observability:
             dimension=PER_METHOD, labels=("topic",))
         # per-configuration: kernel agenda health (mirrored from
         # Simulator.agenda_stats at every run() exit; the repro_kernel_
-        # prefix is digest-excluded because op tallies legitimately
-        # differ across digest-equivalent agenda/loop strategies).
+        # prefix is digest-excluded because the op tallies describe how
+        # the kernel ran, not what the simulation did).
         self.kernel_agenda_ops = r.gauge(
             "repro_kernel_agenda_ops",
             "Kernel agenda lifetime operation counters, by op "
@@ -242,8 +241,7 @@ class Observability:
             dimension=PER_CONFIGURATION, labels=("op",))
         self.kernel_agenda_depth = r.gauge(
             "repro_kernel_agenda_depth",
-            "Kernel agenda depth diagnostics "
-            "(pending/peak/max_batch).",
+            "Kernel agenda depth diagnostics (pending/peak).",
             dimension=PER_CONFIGURATION, labels=("stat",))
 
     # -- kernel mirrors -----------------------------------------------------
@@ -261,7 +259,6 @@ class Observability:
         depth = self.kernel_agenda_depth
         depth.set(stats["depth"], stat="pending")
         depth.set(stats["peak_depth"], stat="peak")
-        depth.set(stats["max_batch"], stat="max_batch")
 
     # -- hot-path helpers ---------------------------------------------------
     def record_topic(self, topic: str) -> None:
@@ -282,15 +279,14 @@ class Observability:
 
         Instruments only move inside executed events, so the cached
         digest is stamped with ``(events_executed, now)`` and reused
-        until the kernel makes progress (``perf.switches.
-        digest_cache``).  Mutating instruments *outside* any event and
-        re-reading within the same stamp would return the stale digest
-        — simulation code never does that; tests that do must toggle
-        the switch off.
+        until the kernel makes progress.  Instruments mutated *outside*
+        an event are not seen until the kernel advances: re-reading
+        within the same stamp returns the earlier digest.  Simulation
+        code only mutates instruments inside events.
         """
         sim = self.sim
         stamp = (getattr(sim, "events_executed", 0), sim.now)
-        if _opt.digest_cache and self._metrics_digest is not None \
+        if self._metrics_digest is not None \
                 and self._metrics_digest_stamp == stamp:
             self.metrics_digest_hits += 1
             return self._metrics_digest

@@ -1,37 +1,24 @@
-"""repro.perf: the deterministic throughput harness and optimization
-switches.
+"""repro.perf: the deterministic throughput harness.
 
-Two halves:
-
-* :mod:`repro.perf.switches` — process-global toggles for every
-  measured hot-path optimization (kernel fast loop, copy-on-write
-  clones, memoized admission verdicts, cached digests).  The optimized
-  call sites in the kernel/core/staticcheck planes import *only* this
-  module, so this package ``__init__`` must stay import-light: pulling
-  the harness in here would create a cycle
-  (kernel -> perf -> harness -> core -> kernel).
-* :mod:`repro.perf.harness` / :mod:`repro.perf.scenarios` — the
-  ``repro bench`` macro-benchmark suite: seeded scenarios whose
-  *digests* are pure functions of (seed, scale) and whose throughput
-  numbers anchor the ``BENCH_*.json`` trajectory.  Loaded lazily via
-  ``__getattr__``.
+:mod:`repro.perf.harness` / :mod:`repro.perf.scenarios` form the
+``repro bench`` macro-benchmark suite: seeded scenarios whose *digests*
+are pure functions of (seed, scale) and whose throughput numbers anchor
+the ``BENCH_*.json`` trajectory.  Everything is loaded lazily via
+``__getattr__``, so importing this package stays cheap and cannot
+create a cycle (harness -> core -> kernel).
 """
 
 from __future__ import annotations
 
-from .switches import DEFAULTS, Switches, all_disabled, configured, switches
-
 __all__ = [
-    "DEFAULTS", "Switches", "all_disabled", "configured", "switches",
-    # lazily loaded:
     "BenchResult", "SCENARIOS", "SHARD_WORKLOADS", "run_scenario",
-    "run_all", "ablate", "compare", "write_results", "load_results",
+    "run_all", "compare", "write_results", "load_results",
     "run_digest", "canonical_digest",
 ]
 
 _LAZY = {
     "BenchResult": "harness", "run_scenario": "harness",
-    "run_all": "harness", "ablate": "harness", "compare": "harness",
+    "run_all": "harness", "compare": "harness",
     "write_results": "harness", "load_results": "harness",
     "SCENARIOS": "scenarios", "SHARD_WORKLOADS": "scenarios",
     "run_digest": "digest", "canonical_digest": "digest",

@@ -10,10 +10,10 @@ threshold), while throughput is compared through a median-normalized
 ratio that cancels machine-speed differences between the baseline host
 and the current one.
 
-The committed anchor ``BENCH_baseline.json`` is produced with every
-optimization switch *off* (``repro bench --all --no-opt``), so default
-runs double as the optimization's regression proof: same digests,
-higher throughput.
+The committed anchor ``BENCH_baseline.json`` was recorded with every
+optimization of its day switched off; the kernel has since kept only the
+optimizations that paid, so default runs still reproduce its digests
+byte for byte.
 """
 
 from __future__ import annotations
@@ -27,29 +27,28 @@ from ..shard.executor import run_sharded
 from ..substrates.sim.agenda import tally_delta, tally_snapshot
 from .digest import run_digest
 from .scenarios import SCENARIOS, SHARD_WORKLOADS
-from .switches import DEFAULTS, all_disabled, configured, switches
 
 #: Schema version of the BENCH_*.json files.  Version 2 added
 #: ``wall_times_s`` (per-repeat wall clocks), ``workers``/``backend``
 #: and optional ``shard_stats``; version 3 added ``agenda_stats``
-#: (agenda kind + insert/pop/purge/max-batch tallies).  :func:`compare`
-#: reads only the fields shared by every version, so older files still
-#: gate fine.
-BENCH_VERSION = 3
+#: (insert/pop/purge/max-batch tallies); version 4 dropped the
+#: ``switches`` block and the agenda ``kind``/``batched`` fields, whose
+#: subject (optimization switches) is gone.  :func:`compare` reads only
+#: the fields shared by every version, so older files still gate fine.
+BENCH_VERSION = 4
 
 
 class BenchResult:
     """One scenario execution: deterministic counters + wall measurements."""
 
-    __slots__ = ("scenario", "seed", "scale", "switches", "repeats",
+    __slots__ = ("scenario", "seed", "scale", "repeats",
                  "wall_time_s", "wall_times_s", "events_per_sec",
                  "shuttles_per_sec", "events_executed",
                  "shuttles_processed", "peak_agenda_depth", "digest",
                  "counters", "workers", "backend", "shard_stats", "obs",
                  "agenda_stats")
 
-    def __init__(self, scenario: str, seed: int, scale: str,
-                 switch_state: Dict[str, bool], repeats: int,
+    def __init__(self, scenario: str, seed: int, scale: str, repeats: int,
                  wall_time_s: float, counters: Dict[str, Any],
                  work: Dict[str, int],
                  wall_times_s: Optional[Sequence[float]] = None,
@@ -59,7 +58,6 @@ class BenchResult:
         self.scenario = scenario
         self.seed = int(seed)
         self.scale = scale
-        self.switches = dict(switch_state)
         self.repeats = int(repeats)
         self.wall_time_s = wall_time_s
         self.wall_times_s = (list(wall_times_s) if wall_times_s is not None
@@ -75,9 +73,9 @@ class BenchResult:
         self.workers = int(workers)
         self.backend = backend
         self.shard_stats = shard_stats
-        #: Agenda diagnostics for the *measured* (last) pass: structure
-        #: kind, insert/pop/purge tallies and the largest same-timestamp
-        #: batch.  Coordinator-process view only — mp workers advance
+        #: Agenda diagnostics for the *measured* (last) pass:
+        #: insert/pop/purge tallies and ``max_batch`` (1 once any event
+        #: ran).  Coordinator-process view only — mp workers advance
         #: their own fork-inherited tallies, which never cross the pipe.
         self.agenda_stats = agenda_stats
         #: Merged telemetry (``MergedObs``) when the run collected it.
@@ -94,7 +92,6 @@ class BenchResult:
             "scenario": self.scenario,
             "seed": self.seed,
             "scale": self.scale,
-            "switches": self.switches,
             "repeats": self.repeats,
             "wall_time_s": round(self.wall_time_s, 6),
             "wall_times_s": [round(t, 6) for t in self.wall_times_s],
@@ -196,17 +193,12 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
                 f"scale={scale!r}: counters drifted between passes")
         counters, work = pass_counters, pass_work
         wall_times.append(elapsed)
-    agenda_stats: Dict[str, Any] = {
-        "kind": "calendar" if switches.agenda_calendar else "heap",
-        "batched": bool(switches.batch_delivery),
-    }
-    agenda_stats.update(tally_delta(tally_mark))
-    result = BenchResult(name, seed, scale, switches.as_dict(), repeats,
+    result = BenchResult(name, seed, scale, repeats,
                          min(wall_times), counters, work,
                          wall_times_s=wall_times,
                          workers=workers if sharded else 1,
                          backend=backend, shard_stats=shard_stats,
-                         agenda_stats=agenda_stats)
+                         agenda_stats=tally_delta(tally_mark))
     result.obs = merged_obs
     return result
 
@@ -219,11 +211,9 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
     Run A is the plain single-shard scenario.  Run B depends on
     ``against``:
 
-    * ``"self"``   — the identical run again (a clean environment must
+    * ``"self"`` — the identical run again (a clean environment must
       produce byte-identical tapes);
-    * ``"no-opt"`` — every optimization switch off (optimizations may
-      change *when* work happens, never *what* is drawn);
-    * ``"obs"``    — telemetry collection on (observability must never
+    * ``"obs"``  — telemetry collection on (observability must never
       draw).
 
     ``inject`` (an :class:`repro.sanitize.Injection`) perturbs one draw
@@ -231,16 +221,13 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
     :class:`repro.sanitize.SanitizeReport`.
     """
     from ..sanitize import SanitizeReport, diff_tapes, taped
-    if against not in ("self", "no-opt", "obs"):
+    if against not in ("self", "obs"):
         raise ValueError(f"unknown sanitize comparison {against!r} "
-                         f"(known: self, no-opt, obs)")
+                         f"(known: self, obs)")
     with taped() as tape_a:
         result_a = run_scenario(name, seed=seed, scale=scale)
     with taped(inject=inject) as tape_b:
-        if against == "no-opt":
-            with all_disabled():
-                result_b = run_scenario(name, seed=seed, scale=scale)
-        elif against == "obs":
+        if against == "obs":
             result_b = run_scenario(name, seed=seed, scale=scale,
                                     obs=True)
         else:
@@ -260,39 +247,6 @@ def run_all(seed: int = 42, scale: str = "short", repeats: int = 1,
                          workers=workers, backend=backend,
                          recovery=recovery)
             for name in selected]
-
-
-def ablate(name: str, seed: int = 42, scale: str = "short",
-           repeats: int = 1) -> Dict[str, Any]:
-    """Per-switch ablation of one scenario.
-
-    Runs the scenario with all switches on, all off, and each switch
-    individually disabled; checks every variant reproduces the all-on
-    digest.  This is the machine-readable form of the optimization
-    ledger's "digests byte-identical on vs. off" proof.
-    """
-    with configured(**{k: True for k in DEFAULTS}):
-        on = run_scenario(name, seed=seed, scale=scale, repeats=repeats)
-    variants: Dict[str, BenchResult] = {}
-    with all_disabled():
-        variants["all-off"] = run_scenario(name, seed=seed, scale=scale,
-                                           repeats=repeats)
-    for switch in DEFAULTS:
-        with configured(**{switch: False}):
-            variants[f"no-{switch}"] = run_scenario(
-                name, seed=seed, scale=scale, repeats=repeats)
-    return {
-        "scenario": name, "seed": seed, "scale": scale,
-        "digest": on.digest,
-        "digest_stable": all(v.digest == on.digest
-                             for v in variants.values()),
-        "all_on": on.to_dict(),
-        "variants": {k: v.to_dict() for k, v in variants.items()},
-        "speedup_vs_all_off": (
-            round(on.events_per_sec
-                  / variants["all-off"].events_per_sec, 3)
-            if variants["all-off"].events_per_sec else None),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +312,7 @@ def compare(current: Sequence[Dict[str, Any]],
 
     1. **Digest equality** (hard).  For every ``(scenario, seed,
        scale)`` present in both sets the run digests must be byte
-       identical — optimizations may only change *when*, never *what*.
+       identical — kernel changes may only change *when*, never *what*.
     2. **Throughput** (thresholded).  Per-scenario ratios
        ``current/baseline`` of events/sec are first divided by their
        median, cancelling uniform machine-speed differences between the

@@ -178,7 +178,7 @@ class ShuttleStormWorkload(_GridShardWorkload):
     shard owning a source reproduces that source's traffic exactly
     without reference to the other shards.  The clone path, the
     admission gate and the directive interpreter all sit on the hot
-    path; templates are frozen, so CoW sharing engages when enabled.
+    path; templates are frozen, so their clones share the cargo (CoW).
     """
 
     name = "shuttle-storm"
@@ -542,8 +542,8 @@ def scenario_admission_dock(seed: int, scale: str) -> Tuple[Dict[str, Any],
     quantum cargo): the gate runs its full sweep and rejects them, so
     the vet, not directive execution, dominates.  Two honest templates
     keep the accept path in the digest.  Cache-hit counters stay *out*
-    of the digest: they legitimately differ with the memo on vs. off;
-    verdict outcomes may not.
+    of the digest: they describe how the gate did its work (a memo hit
+    or a cold vet), and only verdict outcomes are behaviour.
     """
     from ..core.knowledge import KnowledgeQuantum
     from ..core.shuttle import (OP_ACQUIRE_ROLE, OP_DEPLOY_QUANTUM,

@@ -26,7 +26,6 @@ from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..perf.switches import switches as _opt
 from ..substrates.phys import Datagram
 from ..substrates.sim import Simulator
 
@@ -189,7 +188,7 @@ class WLIAdaptiveRouter:
 
     def _on_hello(self, ship, packet, from_node) -> None:
         vector = packet.payload["vector"]
-        if _opt.batch_delivery and len(vector) >= _HELLO_BATCH_MIN:
+        if len(vector) >= _HELLO_BATCH_MIN:
             self._apply_hello_batch(ship, vector, from_node)
             return
         for dst, cost in vector.items():
@@ -206,9 +205,9 @@ class WLIAdaptiveRouter:
 
     def _apply_hello_batch(self, ship, vector: Dict[NodeId, float],
                            from_node: NodeId) -> None:
-        """Vectorized hello-vector screen (``perf.switches.
-        batch_delivery``): the ``cost + 1.0`` increments and the
-        poisoned-route comparisons are one float64 array pass — both
+        """Vectorized hello-vector screen (vectors of at least
+        ``_HELLO_BATCH_MIN`` entries): the ``cost + 1.0`` increments and
+        the poisoned-route comparisons are one float64 array pass — both
         IEEE-exact, so branch decisions and learned costs are
         bit-identical to the scalar loop — and the stateful
         ``learn_route`` updates then run in vector order as before."""

@@ -6,8 +6,8 @@ The sanitizer turns the hard failure into a localized diagnosis: with a
 every named stream is recorded with its stream name, per-stream
 ordinal, simulated time and owning call site, and every digest fold on
 the digest path (run digests, shard outbox digests) is appended to a
-merge tape.  Two taped runs — same scenario twice, optimizations on vs
-off, telemetry on vs off — are then compared with :func:`diff_tapes`,
+merge tape.  Two taped runs — same scenario twice, or telemetry on vs
+off — are then compared with :func:`diff_tapes`,
 which reports the **first divergent draw**, the point where causality
 split, rather than the digest, where the difference finally surfaced.
 

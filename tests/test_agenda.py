@@ -1,21 +1,18 @@
-"""The pluggable-agenda contract: heap ≡ calendar, batching, pooling.
+"""The agenda and event-loop contract: fire order, same-instant
+delivery, digest stability, and the agenda counters.
 
 Four layers of proof:
 
-* **property equivalence** (hypothesis) — under random schedule /
-  cancel interleavings with deliberately colliding timestamps, the heap
-  and calendar agendas report the same ``len()`` after every operation
-  and pop the exact same ``(time, priority, seq)`` sequence, whether
-  popped one event at a time or via the fused ``pop_run`` drain;
-* **digest matrix** — every scenario reproduces its all-on digest with
-  ``agenda_calendar`` and ``batch_delivery`` individually disabled, at
+* **ordering property** (hypothesis) — under random schedule / cancel /
+  run interleavings with deliberately colliding timestamps, events fire
+  in exactly ``sorted((time, priority, seq))`` order of the live ones;
+* **digest matrix** — every scenario reproduces its K=1 digest at
   K ∈ {1, 2, 4} shards;
-* **batched-loop semantics** — same-instant insertion (including
-  URGENT), ``stop()`` and ``max_events`` mid-batch leave the agenda
-  exactly as the reference loop would;
-* **object pool parity** — recycling happens, externally-retained
-  events are never recycled, and the ``seq`` draw stream is identical
-  with the pool on and off.
+* **same-instant semantics** — insertion at the current instant
+  (including URGENT), ``stop()`` and ``max_events`` among events that
+  share one timestamp leave the agenda exactly as expected;
+* **counter export** — BENCH JSON, the obs gauges and
+  ``Simulator.agenda_stats`` carry the agenda tallies.
 """
 
 import pytest
@@ -24,14 +21,10 @@ from hypothesis import strategies as st
 
 from repro.perf.harness import run_scenario
 from repro.perf.scenarios import SCENARIOS, SHARD_WORKLOADS
-from repro.perf.switches import configured
-from repro.perf.pool import event_pool
-from repro.substrates.sim.agenda import (CalendarAgenda, HeapAgenda,
-                                         make_agenda)
+from repro.substrates.sim.agenda import (HeapAgenda, tally_delta,
+                                         tally_snapshot)
 from repro.substrates.sim.events import LAZY, NORMAL, URGENT, Event
 from repro.substrates.sim.kernel import Simulator
-
-_INF = float("inf")
 
 # Quantized times force plenty of exact-tie collisions; mixed
 # priorities force the (priority, seq) tie-break to matter.
@@ -39,229 +32,151 @@ _op = st.one_of(
     st.tuples(st.just("push"), st.integers(0, 24),
               st.sampled_from([URGENT, NORMAL, LAZY])),
     st.tuples(st.just("cancel"), st.integers(0, 200), st.just(0)),
-    st.tuples(st.just("pop"), st.just(0), st.just(0)),
-    st.tuples(st.just("drain"), st.just(0), st.just(0)),
+    st.tuples(st.just("run"), st.integers(0, 24), st.just(0)),
 )
 
 
-class TestHeapCalendarEquivalence:
+class TestFireOrder:
     @given(st.lists(_op, max_size=120))
     @settings(max_examples=200, deadline=None)
-    def test_identical_sequences_under_interleavings(self, ops):
-        heap, cal = HeapAgenda(), CalendarAgenda()
-        live = []
-        for kind, a, b in ops:
-            if kind == "push":
-                # One shared Event: cancellation is symmetric, but each
-                # agenda stores (and purges) its own entry.
-                ev = Event(a * 0.25, b)
-                heap.push(ev)
-                cal.push(ev)
-                live.append(ev)
-            elif kind == "cancel" and live:
-                live[a % len(live)].cancel()
-            elif kind == "pop":
-                assert heap.next_time() == cal.next_time()
-                h, c = heap.pop_next(), cal.pop_next()
-                assert h is c, (h, c)
-            elif kind == "drain":
-                hout, cout = [], []
-                h, c = heap.pop_run(hout), cal.pop_run(cout)
-                if type(h) is tuple:
-                    assert h == c
-                else:
-                    assert h == c, (h, c)
-                    assert hout == cout
-            # The depth contract is digest-visible: both structures
-            # must agree on len() after *every* operation.
-            assert len(heap) == len(cal)
-        # Drain the remainder: full order equality to the end.
-        while True:
-            h, c = heap.pop_next(), cal.pop_next()
-            assert h is c
-            if h is None:
-                break
+    def test_fire_order_is_sorted_live_events(self, ops):
+        sim = Simulator(seed=0)
+        fired = []
+        scheduled = []
 
-    @given(st.lists(st.tuples(st.integers(0, 12),
-                              st.sampled_from([URGENT, NORMAL, LAZY])),
-                    min_size=1, max_size=60))
-    @settings(max_examples=100, deadline=None)
-    def test_pop_run_batches_match(self, pushes):
-        heap, cal = HeapAgenda(), CalendarAgenda()
-        for t, prio in pushes:
-            ev = Event(t * 0.5, prio)
-            heap.push(ev)
-            cal.push(ev)
+        def run_and_check(until=None):
+            horizon = float("inf") if until is None else until
+            expected = sorted((ev.time, ev.priority, ev.seq)
+                              for ev in scheduled
+                              if ev.pending and ev.time <= horizon)
+            del fired[:]
+            sim.run(until=until)
+            assert [(ev.time, ev.priority, ev.seq)
+                    for ev in fired] == expected
+
+        for kind, a, b in ops:
+            # Never schedule or run into the past of the paused clock.
+            at = max(sim.now, a * 0.25)
+            if kind == "push":
+                ev = sim.schedule_at(at, b)
+                ev.add_callback(fired.append)
+                scheduled.append(ev)
+            elif kind == "cancel" and scheduled:
+                scheduled[a % len(scheduled)].cancel()
+            elif kind == "run":
+                run_and_check(at)
+        run_and_check()
+        assert sim.pending_events == 0
+
+    def test_each_entry_leaves_once_as_pop_or_purge(self):
+        agenda = HeapAgenda()
+        evs = [Event(float(i % 3)) for i in range(6)]
+        for ev in evs:
+            agenda.push(ev)
+        evs[0].cancel()
+        evs[3].cancel()
+        assert agenda.next_time() == 1.0     # purges both t=0 heads
+        assert agenda.next_time() == 1.0     # nothing left to purge
+        popped = []
         while True:
-            hout, cout = [], []
-            h, c = heap.pop_run(hout), cal.pop_run(cout)
-            if h == _INF:
-                assert c == _INF and not hout and not cout
+            ev = agenda.pop_next()
+            if ev is None:
                 break
-            if type(h) is tuple:
-                assert h == c
-            else:
-                assert h == c
-                assert hout == cout
-                assert len(hout) >= 2  # singletons return the entry
+            popped.append(ev)
+        assert popped == [evs[1], evs[4], evs[2], evs[5]]
+        assert (agenda.inserts, agenda.pops, agenda.purges) == (6, 4, 2)
+        assert len(agenda) == 0
 
     def test_pending_count_skips_dead_without_sorting(self):
-        for kind in (False, True):
-            agenda = make_agenda(kind)
-            evs = [Event(float(i)) for i in range(10)]
-            for ev in evs:
-                agenda.push(ev)
-            for ev in evs[::2]:
-                ev.cancel()
-            assert agenda.pending_count() == 5
-            assert len(agenda) == 10  # dead entries still held
-            assert [e.time for e in agenda.ordered()] == [
-                1.0, 3.0, 5.0, 7.0, 9.0]
-
-    def test_calendar_accepts_push_below_last_pop(self):
-        # Paused-run injection: after popping t=5, scheduling t=1 is
-        # legal (the owning clock may trail) and must pop next.
-        cal = CalendarAgenda()
-        cal.push(Event(5.0))
-        out = []
-        ret = cal.pop_run(out)
-        assert type(ret) is tuple and ret[0] == 5.0
-        early = Event(1.0)
-        cal.push(early)
-        assert cal.next_time() == 1.0
-        assert cal.pop_next() is early
+        agenda = HeapAgenda()
+        evs = [Event(float(i)) for i in range(10)]
+        for ev in evs:
+            agenda.push(ev)
+        for ev in evs[::2]:
+            ev.cancel()
+        assert agenda.pending_count() == 5
+        assert len(agenda) == 10  # dead entries still held
+        assert [e.time for e in agenda.ordered()] == [
+            1.0, 3.0, 5.0, 7.0, 9.0]
 
 
 # ----------------------------------------------------------------------
-# digest matrix: the two new switches × every scenario × K shards
+# digest matrix: every scenario × K shards
 # ----------------------------------------------------------------------
 
 class TestDigestMatrix:
+    # The test id predates the kernel's single loop: the calendar
+    # agenda and same-timestamp batching it once toggled are gone, and
+    # what it still guards is the K=1 digest at every shard count.
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_new_switches_digest_stable_across_shards(self, scenario):
         reference = run_scenario(scenario, seed=7, scale="tiny")
         ks = (1, 2, 4) if scenario in SHARD_WORKLOADS else (1,)
         for k in ks:
-            for overrides in ({}, {"agenda_calendar": False},
-                              {"batch_delivery": False}):
-                with configured(**overrides):
-                    got = run_scenario(scenario, seed=7, scale="tiny",
-                                       workers=k, backend="inline")
-                assert got.digest == reference.digest, (
-                    f"{scenario} K={k} drifts with {overrides or 'defaults'}")
+            got = run_scenario(scenario, seed=7, scale="tiny",
+                               workers=k, backend="inline")
+            assert got.digest == reference.digest, (
+                f"{scenario} drifts at K={k}")
 
 
 # ----------------------------------------------------------------------
-# batched-loop semantics
+# same-instant semantics: a "batch" is the run of events sharing one
+# timestamp
 # ----------------------------------------------------------------------
 
 class TestBatchedDelivery:
-    def _sim(self):
-        with configured(batch_delivery=True, kernel_fast_loop=True):
-            return Simulator(seed=3)
-
     def test_same_instant_insertion_during_batch(self):
         fired = []
-        with configured(batch_delivery=True):
-            sim = Simulator(seed=3)
+        sim = Simulator(seed=3)
 
-            def first():
-                fired.append("first")
-                # Scheduled at the *current* batch instant: must fire
-                # within this batch, after the already-drained entries.
-                sim.call_at(sim.now, lambda: fired.append("injected"))
+        def first():
+            fired.append("first")
+            # Scheduled at the *current* instant: fires at this time,
+            # after the entries already queued for it.
+            sim.call_at(sim.now, lambda: fired.append("injected"))
 
-            sim.call_at(1.0, first)
-            sim.call_at(1.0, lambda: fired.append("second"))
-            sim.run()
+        sim.call_at(1.0, first)
+        sim.call_at(1.0, lambda: fired.append("second"))
+        sim.run()
         assert fired == ["first", "second", "injected"]
 
     def test_urgent_same_instant_insertion_fires_before_lazy(self):
         fired = []
-        with configured(batch_delivery=True):
-            sim = Simulator(seed=3)
+        sim = Simulator(seed=3)
 
-            def first():
-                fired.append("first")
-                sim.call_at(sim.now, lambda: fired.append("urgent"),
-                            priority=URGENT)
+        def first():
+            fired.append("first")
+            sim.call_at(sim.now, lambda: fired.append("urgent"),
+                        priority=URGENT)
 
-            sim.call_at(1.0, first)
-            sim.call_at(1.0, lambda: fired.append("lazy"), priority=LAZY)
-            sim.run()
+        sim.call_at(1.0, first)
+        sim.call_at(1.0, lambda: fired.append("lazy"), priority=LAZY)
+        sim.run()
         # The URGENT injection lands before the pending LAZY entry.
         assert fired == ["first", "urgent", "lazy"]
 
     def test_stop_mid_batch_preserves_suffix(self):
         fired = []
-        with configured(batch_delivery=True):
-            sim = Simulator(seed=3)
-            sim.call_at(1.0, lambda: fired.append("a"))
-            sim.call_at(1.0, sim.stop)
-            sim.call_at(1.0, lambda: fired.append("c"))
-            sim.run()
-            assert fired == ["a"]
-            assert sim.pending_events == 1
-            sim.run()
+        sim = Simulator(seed=3)
+        sim.call_at(1.0, lambda: fired.append("a"))
+        sim.call_at(1.0, sim.stop)
+        sim.call_at(1.0, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a"]
+        assert sim.pending_events == 1
+        sim.run()
         assert fired == ["a", "c"]
 
     def test_max_events_mid_batch_resumes_exactly(self):
         fired = []
-        with configured(batch_delivery=True):
-            sim = Simulator(seed=3)
-            for tag in "abcd":
-                sim.call_at(1.0, fired.append, tag)
-            sim.run(max_events=2)
-            assert fired == ["a", "b"]
-            assert sim.now == 1.0
-            sim.run()
+        sim = Simulator(seed=3)
+        for tag in "abcd":
+            sim.call_at(1.0, fired.append, tag)
+        sim.run(max_events=2)
+        assert fired == ["a", "b"]
+        assert sim.now == 1.0
+        sim.run()
         assert fired == ["a", "b", "c", "d"]
-
-
-# ----------------------------------------------------------------------
-# object pool parity
-# ----------------------------------------------------------------------
-
-class TestEventPoolParity:
-    def test_recycling_happens(self):
-        with configured(object_pool=True):
-            event_pool.clear()
-            before = event_pool.recycled
-            sim = Simulator(seed=1)
-            for i in range(50):
-                sim.call_in(0.01 * (i + 1), lambda: None)
-            sim.run()
-        assert event_pool.recycled > before
-        assert event_pool.items  # free list holds parked events
-
-    def test_retained_events_are_never_recycled(self):
-        with configured(object_pool=True):
-            event_pool.clear()
-            sim = Simulator(seed=1)
-            keep = sim.call_in(0.5, lambda: None)
-            sim.call_in(1.0, lambda: None)
-            sim.run()
-            # ``keep`` is externally referenced: the refcount guard
-            # must leave it untouched after firing.
-            assert keep not in event_pool.items
-            assert keep.fired and keep.time == 0.5
-
-    def test_seq_draws_identical_pool_on_and_off(self):
-        def run(pool):
-            with configured(object_pool=pool):
-                event_pool.clear()
-                sim = Simulator(seed=1)
-                seqs = []
-
-                def hop(n):
-                    if n:
-                        seqs.append(sim.call_in(0.01, hop, n - 1).seq)
-
-                first = sim.call_in(0.01, hop, 20)
-                sim.run()
-                return [s - first.seq for s in seqs]
-
-        assert run(True) == run(False)
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +187,11 @@ class TestAgendaStatsExport:
     def test_bench_json_carries_agenda_stats(self):
         result = run_scenario("event-loop", seed=7, scale="tiny")
         stats = result.to_dict()["agenda_stats"]
-        assert stats["kind"] in ("heap", "calendar")
+        assert set(stats) == {"inserts", "pops", "purges", "max_batch"}
         assert stats["inserts"] > 0
-        assert stats["pops"] > 0
+        assert stats["pops"] == result.events_executed
         assert stats["purges"] > 0       # event-loop cancels decoys
-        assert stats["max_batch"] >= 1
+        assert stats["max_batch"] == 1   # one event per pop
 
     def test_obs_gauges_mirrored_and_digest_excluded(self):
         sim = Simulator(seed=2)
@@ -286,19 +201,42 @@ class TestAgendaStatsExport:
         names = {rec["name"] for rec in sim.obs.registry.collect()}
         assert "repro_kernel_agenda_ops" in names
         assert "repro_kernel_agenda_depth" in names
-        # Digest exclusion: mutating the kernel gauges must not move
-        # the metrics digest (they vary across digest-equivalent
-        # agenda implementations).
-        with configured(digest_cache=False):
-            before = sim.obs.metrics_digest()
-            sim.obs.kernel_agenda_ops.set(10**9, op="insert")
-            assert sim.obs.metrics_digest() == before
+        depth_stats = {rec["labels"]["stat"]
+                       for rec in sim.obs.registry.collect()
+                       if rec["name"] == "repro_kernel_agenda_depth"}
+        assert depth_stats == {"pending", "peak"}
+        # Digest exclusion: mutating the kernel gauges inside an event
+        # (the digest cache sees only kernel progress) must not move
+        # the metrics digest.
+        before = sim.obs.metrics_digest()
+        sim.call_in(0.1, lambda: sim.obs.kernel_agenda_ops.set(
+            10**9, op="probe"))
+        sim.run()
+        assert sim.obs.kernel_agenda_ops.labels(op="probe").value == 10**9
+        assert sim.obs.metrics_digest() == before
+
+    def test_tally_window_reports_max_batch_one(self):
+        mark = tally_snapshot(reset_max=True)
+        assert tally_delta(mark)["max_batch"] == 0   # nothing ran yet
+        sim = Simulator(seed=2)
+        for i in range(3):
+            sim.call_in(0.1, lambda: None)          # one shared instant
+        sim.run()
+        delta = tally_delta(mark)
+        assert delta == {"inserts": 3, "pops": 3, "purges": 0,
+                         "max_batch": 1}
+        # A window in which no event ran reports 0 again.
+        idle = tally_snapshot(reset_max=True)
+        Simulator(seed=2).run()
+        assert tally_delta(idle)["max_batch"] == 0
 
     def test_simulator_agenda_stats_shape(self):
         sim = Simulator(seed=2)
         sim.call_in(0.1, lambda: None)
         sim.run()
         stats = sim.agenda_stats()
+        assert set(stats) == {"inserts", "pops", "purges", "depth",
+                              "peak_depth"}
         assert stats["inserts"] == 1
         assert stats["pops"] == 1
         assert stats["depth"] == 0

@@ -512,11 +512,6 @@ class TestSanitizeRuns:
         assert tape.merges[-1].digest == plain.digest
         assert tape.merges[-1].label == "run:event-loop:7:tiny"
 
-    def test_optimizations_draw_identically(self):
-        report = run_sanitized("event-loop", scale="tiny",
-                               against="no-opt")
-        assert report.ok and report.against == "no-opt"
-
     def test_telemetry_draws_identically(self):
         # obs collection needs a shardable scenario
         report = run_sanitized("shuttle-storm", scale="tiny",
@@ -553,6 +548,8 @@ class TestSanitizeRuns:
     def test_unknown_against_rejected(self):
         with pytest.raises(ValueError):
             run_sanitized("event-loop", scale="tiny", against="what")
+        with pytest.raises(ValueError):
+            run_sanitized("event-loop", scale="tiny", against="no-opt")
 
 
 class TestSanitizeCli:
@@ -570,9 +567,9 @@ class TestSanitizeCli:
 
     def test_json_output_parses(self, capsys):
         assert cli_main(["sanitize", "event-loop", "--scale", "tiny",
-                         "--against", "no-opt", "--json"]) == 0
+                         "--against", "self", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True and doc["against"] == "no-opt"
+        assert doc["ok"] is True and doc["against"] == "self"
 
     def test_usage_errors_exit_2(self, capsys):
         assert cli_main(["sanitize"]) == 2
@@ -581,6 +578,13 @@ class TestSanitizeCli:
         assert cli_main(["sanitize", "event-loop", "--scale", "tiny",
                          "--inject", "bad-spec"]) == 2
         assert cli_main(["sanitize", "event-loop", "--all"]) == 2
+        capsys.readouterr()
+
+    def test_no_opt_comparison_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sanitize", "event-loop", "--scale", "tiny",
+                      "--against", "no-opt"])
+        assert exc.value.code == 2
         capsys.readouterr()
 
     def test_all_sweep_with_baseline(self, tmp_path, capsys):

@@ -470,6 +470,13 @@ class TestWaitCombinators:
         assert got == [(0, "done")]
 
 
+def _sim(seed, profiled):
+    sim = Simulator(seed=seed)
+    if profiled:
+        sim.obs.enable(profiling=True)
+    return sim
+
+
 class TestRunUntilPast:
     def test_run_until_past_rejected(self):
         sim = Simulator()
@@ -479,6 +486,79 @@ class TestRunUntilPast:
         with pytest.raises(SchedulingError):
             sim.run(until=5.0)
         assert sim.now == 10.0   # clock untouched
+
+    def test_rejected_run_leaves_pending_work_untouched(self):
+        sim = Simulator()
+        fired = []
+        sim.call_in(10.0, fired.append, 10.0)
+        sim.call_in(20.0, fired.append, 20.0)
+        sim.run(until=10.0)
+        before = sim.agenda_stats()
+        with pytest.raises(SchedulingError):
+            sim.run(until=5.0)
+        assert sim.agenda_stats() == before
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [10.0, 20.0]
+
+
+class TestRunLoopPaths:
+    """The run loop fires an event inline or, with a profiler attached,
+    through ``Event.fire``; the two paths must be indistinguishable."""
+
+    @staticmethod
+    def _drive(sim):
+        rng = sim.rng.stream("t.paths")
+        log = []
+
+        def hop(n):
+            log.append((round(sim.now, 9), n))
+            if n:
+                sim.call_in(rng.uniform(0.0, 0.02), hop, n - 1)
+                sim.call_in(0.3, lambda: log.append("decoy")).cancel()
+
+        for lane in range(3):
+            sim.call_in(0.0, hop, 30 + lane)
+        sim.run(until=0.25)
+        sim.run()
+        return log
+
+    def test_profiled_and_inline_paths_agree(self):
+        inline, profiled = _sim(4, False), _sim(4, True)
+        assert self._drive(inline) == self._drive(profiled)
+        assert inline.now == profiled.now
+        assert inline.events_executed == profiled.events_executed
+        assert inline.agenda_stats() == profiled.agenda_stats()
+        assert profiled.profile()["events"] == profiled.events_executed
+
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_fn_fires_before_callbacks(self, profiled):
+        sim = _sim(2, profiled)
+        order = []
+        ev = sim.call_in(1.0, order.append, "fn")
+        ev.add_callback(lambda e: order.append(("cb", e is ev)))
+        sim.run()
+        assert order == ["fn", ("cb", True)]
+        assert ev.fired and not ev.pending
+
+    def test_callback_exception_keeps_counters_consistent(self):
+        sim = Simulator(seed=1)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_in(1.0, lambda: None)
+        sim.call_in(2.0, boom)
+        sim.call_in(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.now == 2.0
+        # The raising event was popped but did not complete.
+        assert sim.events_executed == 1
+        assert sim.agenda_stats()["pops"] == 2
+        sim.run()
+        assert sim.events_executed == 2
+        assert sim.agenda_stats()["pops"] == 3
 
 
 class TestHorizonPauseResume:
@@ -503,88 +583,119 @@ class TestHorizonPauseResume:
                 sim.rng.stream("t.a").getstate(),
                 sim.rng.stream("t.b").getstate())
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_segmented_equals_monolithic(self, fast):
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            mono_sim = Simulator(seed=7)
-            mono_log = []
-            self._build(mono_sim, mono_log)
-            mono_sim.run(until=2.0)
+    # The run loop has two firing paths, the inlined one and the
+    # profiled one; the pause/resume contract must hold on both.
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_segmented_equals_monolithic(self, profiled):
+        mono_sim = _sim(7, profiled)
+        mono_log = []
+        self._build(mono_sim, mono_log)
+        mono_sim.run(until=2.0)
 
-            seg_sim = Simulator(seed=7)
-            seg_log = []
-            self._build(seg_sim, seg_log)
-            t = 0.0
-            # Awkward epoch lengths, some landing exactly on event times.
-            for step in (0.05, 0.13, 0.02, 0.1) * 10:
-                t = min(2.0, t + step)
-                seg_sim.run(until=t)
-                if t >= 2.0:
-                    break
+        seg_sim = _sim(7, profiled)
+        seg_log = []
+        self._build(seg_sim, seg_log)
+        t = 0.0
+        # Awkward epoch lengths, some landing exactly on event times.
+        for step in (0.05, 0.13, 0.02, 0.1) * 10:
+            t = min(2.0, t + step)
+            seg_sim.run(until=t)
+            if t >= 2.0:
+                break
 
         assert seg_log == mono_log
         assert self._state(seg_sim) == self._state(mono_sim)
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_injection_between_segments(self, fast):
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_injection_between_segments(self, profiled):
         """External events injected at a barrier (time >= now, beyond
         the paused horizon) fire exactly like natively scheduled ones."""
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            native = Simulator(seed=3)
-            nlog = []
-            native.call_at(0.5, nlog.append, "x")
-            native.call_at(1.0, nlog.append, "boundary")
-            native.call_at(1.25, nlog.append, "y")
-            native.run(until=2.0)
+        native = _sim(3, profiled)
+        nlog = []
+        native.call_at(0.5, nlog.append, "x")
+        native.call_at(1.0, nlog.append, "boundary")
+        native.call_at(1.25, nlog.append, "y")
+        native.run(until=2.0)
 
-            seg = Simulator(seed=3)
-            slog = []
-            seg.call_at(0.5, slog.append, "x")
-            seg.run(until=1.0)
-            assert seg.now == 1.0
-            # Injection at exactly the horizon and strictly beyond it.
-            seg.call_at(1.0, slog.append, "boundary")
-            seg.call_at(1.25, slog.append, "y")
-            seg.run(until=2.0)
+        seg = _sim(3, profiled)
+        slog = []
+        seg.call_at(0.5, slog.append, "x")
+        seg.run(until=1.0)
+        assert seg.now == 1.0
+        # Injection at exactly the horizon and strictly beyond it.
+        seg.call_at(1.0, slog.append, "boundary")
+        seg.call_at(1.25, slog.append, "y")
+        seg.run(until=2.0)
 
         assert slog == nlog
         assert seg.now == native.now == 2.0
         assert seg.events_executed == native.events_executed
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_max_events_break_does_not_clamp_past_pending(self, fast):
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_max_events_break_does_not_clamp_past_pending(self, profiled):
         """Regression: a max_events break used to clamp the clock to
         ``until`` with events still pending before it, so time ran
         backwards on resume and injection raised SchedulingError."""
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=1)
-            fired = []
-            for t in (1.0, 2.0, 3.0):
-                sim.call_at(t, fired.append, t)
-            sim.run(until=10.0, max_events=1)
-            assert fired == [1.0]
-            assert sim.now == 1.0  # not clamped to 10.0
-            # Injection between the paused clock and the pending work
-            # must be legal and fire in order.
-            sim.call_at(1.5, fired.append, 1.5)
-            sim.run(until=10.0)
-            assert fired == [1.0, 1.5, 2.0, 3.0]
-            assert sim.now == 10.0
+        sim = _sim(1, profiled)
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.call_at(t, fired.append, t)
+        sim.run(until=10.0, max_events=1)
+        assert fired == [1.0]
+        assert sim.now == 1.0  # not clamped to 10.0
+        # Injection between the paused clock and the pending work
+        # must be legal and fire in order.
+        sim.call_at(1.5, fired.append, 1.5)
+        sim.run(until=10.0)
+        assert fired == [1.0, 1.5, 2.0, 3.0]
+        assert sim.now == 10.0
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_zero_length_epoch_is_a_noop(self, fast):
-        from repro.perf.switches import configured
-        with configured(kernel_fast_loop=fast):
-            sim = Simulator(seed=1)
-            sim.call_at(1.0, lambda: None)
-            sim.run(until=0.5)
-            before = (sim.now, sim.events_executed, sim.pending_events)
-            sim.run(until=0.5)
-            assert (sim.now, sim.events_executed,
-                    sim.pending_events) == before
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_zero_length_epoch_is_a_noop(self, profiled):
+        sim = _sim(1, profiled)
+        sim.call_at(1.0, lambda: None)
+        sim.run(until=0.5)
+        before = (sim.now, sim.events_executed, sim.pending_events)
+        sim.run(until=0.5)
+        assert (sim.now, sim.events_executed,
+                sim.pending_events) == before
+
+    def test_paused_runs_count_one_insert_and_pop_per_event(self):
+        """Regression: pausing at a horizon used to pop the head past
+        ``until`` and push it back, counting an extra insert and pop
+        per pause.  The loop now reads the head's time before popping."""
+        sim = Simulator(seed=1)
+        for t in range(1, 6):
+            sim.call_in(float(t), lambda: None)
+        for until in range(1, 7):
+            sim.run(until=float(until))
+        stats = sim.agenda_stats()
+        assert (stats["inserts"], stats["pops"]) == (5, 5)
+
+    def test_agenda_counters_match_work_across_segments(self):
+        sim = Simulator(seed=5)
+        rng = sim.rng.stream("t.count")
+        scheduled = 0
+
+        def hop(n):
+            nonlocal scheduled
+            if n:
+                sim.call_in(rng.uniform(0.01, 0.05), hop, n - 1)
+                sim.call_in(0.5, lambda: None).cancel()
+                scheduled += 2
+
+        for lane in range(3):
+            sim.call_in(0.01 * lane, hop, 40)
+            scheduled += 1
+        t = 0.0
+        while sim.pending_events:
+            t += 0.037
+            sim.run(until=t)
+        stats = sim.agenda_stats()
+        assert stats["inserts"] == scheduled
+        assert stats["pops"] == sim.events_executed
+        # Every entry was popped, purged, or still sits (dead) in the heap.
+        assert stats["pops"] + stats["purges"] + stats["depth"] == scheduled
 
     def test_scenario_counters_survive_slicing(self):
         """Slicing a macro-scenario's horizon into awkward epochs
