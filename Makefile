@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test bench bench-smoke bench-baseline bench-parallel \
 	examples verify demo figures obs-smoke obs-parallel-smoke \
 	chaos-smoke recovery-smoke lint shardcheck sanitize-smoke \
-	all clean
+	perfbench-smoke all clean
 
 install:
 	pip install -e .
@@ -128,6 +128,13 @@ sanitize-smoke:
 		grep -q "first divergent draw" /tmp/sanitize-inject.txt; \
 	fi
 	@echo "sanitize-smoke: digests neutral, injection localized"
+
+# Short pass of every perfbench workload: exits non-zero unless every
+# pass is correct, which includes its invariants and its recorded
+# digest, so a change to eviction or delivery order fails here.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 42 --seconds 3
+	@echo "perfbench-smoke: every workload correct, digests as recorded"
 
 # Shortest chaos campaign at a fixed seed: exits non-zero if any
 # resilience invariant (no silent loss, no double-apply, delivery

@@ -25,6 +25,8 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+from heapq import heappop, heappush
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -33,6 +35,17 @@ import numpy as np
 #: Below this many facts the vectorized sweep costs more than the
 #: scalar pass it replaces.
 _SWEEP_BATCH_MIN = 32
+
+#: Near-tie band of the eviction index, relative to the magnitude of
+#: the keys: far above the few-ulp rounding of a key or of a decayed
+#: weight, far below any gap that orders two facts' weights reliably.
+_TIE_MARGIN = 1e-9
+#: Rebuild the eviction index once it holds more than this many
+#: entries per stored fact (plus a fixed allowance).
+_INDEX_SLACK = 4
+#: Decayed weights below this are subnormal: rounding no longer tracks
+#: the key, so eviction falls back to the exact scan.
+_MIN_NORMAL = sys.float_info.min
 
 # fork-inherited id sequence: every shard replays the same
 # construction order, so per-process copies advance identically
@@ -196,7 +209,28 @@ class KnowledgeBase:
     Facts cluster by ``fact_class``; the class weight (sum of member
     weights) is what keeps the class's dependent functions alive.
     ``capacity`` bounds the store — when full, the lowest-weight fact is
-    displaced ("deleted to leave space for new facts").
+    displaced ("deleted to leave space for new facts"), the lowest fact
+    id breaking ties.
+
+    Finding that fact takes O(log n), not a decay of every stored fact.
+    For ``now`` at or after a fact's weight time, ``w·exp(-r·(now-t))``
+    ranks facts exactly as the time-invariant key ``log w + r·t`` does,
+    so facts are grouped by their stored ``(w, t)`` and the groups kept
+    in a heap on that key, each holding a min-heap of fact ids.  An
+    entry is live while its fact is still stored with the group's
+    ``(w, t)``: touches push a fresh entry, removals need none, stale
+    entries are dropped lazily, and the heaps are rebuilt when they
+    outgrow the store.  A store that never fills never builds them.
+    Rounding can order near-equal keys unlike the decayed weights, so
+    every group within a small relative band of the minimum key is
+    examined and the victim picked among their heads by
+    ``(weight(now), fact_id)`` — the victim a scan of the whole store
+    picks.  That scan still serves what the key cannot rank: a ``now``
+    earlier than a stored weight time, a non-finite or non-positive
+    weight, and a subnormal decayed weight.
+
+    Stored facts change weight only through the store (:meth:`record`,
+    :meth:`touch_class`).
     """
 
     def __init__(self, capacity: int = 512,
@@ -208,7 +242,17 @@ class KnowledgeBase:
         self.capacity = int(capacity)
         self.decay_rate = float(decay_rate)
         self._facts: Dict[int, Fact] = {}
-        self._by_class: Dict[str, List[int]] = {}
+        self._by_class: Dict[str, Dict[int, Fact]] = {}
+        # Eviction index, built at the first eviction: a heap of
+        # (key, w, t, ids) per (w, t) group, the groups by (w, t), and
+        # the number of ids held in them.
+        self._indexed = False
+        self._ranks: List[Tuple[float, float, float, List[int]]] = []
+        self._groups: Dict[Tuple[float, float], List[int]] = {}
+        self._entries = 0
+        # Latest weight time indexed; +inf while an unrankable weight
+        # is stored.  Eviction at an earlier ``now`` scans.
+        self._horizon = -math.inf
         self.evictions = 0
         self.inserts = 0
         # content_digest() cache: valid while the *membership* of the
@@ -233,43 +277,107 @@ class KnowledgeBase:
         existing = self.find(fact.fact_class, fact.value)
         if existing is not None:
             existing.touch(now, decay_rate=self.decay_rate)
+            self._index(existing)
             return existing
         if len(self._facts) >= self.capacity:
-            self._displace_weakest(now)
+            self._remove(self._weakest(now))
+            self.evictions += 1
         self._facts[fact.fact_id] = fact
-        self._by_class.setdefault(fact.fact_class, []).append(fact.fact_id)
+        self._by_class.setdefault(fact.fact_class, {})[fact.fact_id] = fact
+        self._index(fact)
         self.inserts += 1
         self._digest_dirty = True
         return fact
 
-    def _displace_weakest(self, now: float) -> None:
-        victim = min(self._facts.values(),
-                     key=lambda f: (f.weight(now, self.decay_rate), f.fact_id))
-        self._remove(victim)
-        self.evictions += 1
+    def _index(self, fact: Fact) -> None:
+        """Rank a stored fact at its current ``(w, t)``."""
+        if not self._indexed:
+            return
+        w = fact._weight
+        t = fact._weight_time
+        if t > self._horizon:
+            self._horizon = t
+        ids = self._groups.get((w, t))
+        if ids is None:
+            key = math.log(w) + self.decay_rate * t if w > 0.0 else math.nan
+            if not math.isfinite(key):
+                self._horizon = math.inf
+                return
+            ids = self._groups[(w, t)] = [fact.fact_id]
+            heappush(self._ranks, (key, w, t, ids))
+        else:
+            heappush(ids, fact.fact_id)
+        self._entries += 1
+        if self._entries > _INDEX_SLACK * len(self._facts) + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the eviction index from the stored facts alone."""
+        self._ranks = []
+        self._groups = {}
+        self._entries = 0
+        self._horizon = -math.inf
+        for fact in self._facts.values():
+            self._index(fact)
+
+    def _weakest(self, now: float) -> Fact:
+        """The fact with the least ``(weight(now), fact_id)``."""
+        if not self._indexed:
+            self._indexed = True
+            self._compact()
+        rate = self.decay_rate
+        if now >= self._horizon:
+            ranks, groups, facts = self._ranks, self._groups, self._facts
+            near = []
+            limit = math.inf
+            while ranks and ranks[0][0] <= limit:
+                entry = heappop(ranks)
+                key, w, t, ids = entry
+                while ids:
+                    head = facts.get(ids[0])
+                    if (head is not None and head._weight == w
+                            and head._weight_time == t):
+                        break
+                    heappop(ids)
+                    self._entries -= 1
+                if not ids:
+                    del groups[(w, t)]
+                    continue
+                if not near:
+                    limit = key + _TIE_MARGIN * (1.0 + abs(key)
+                                                 + rate * abs(now))
+                near.append((entry, head))
+            for entry, _ in near:
+                heappush(ranks, entry)
+            if near:
+                weight, _, victim = min((f.weight(now, rate), f.fact_id, f)
+                                        for _, f in near)
+                if weight >= _MIN_NORMAL:
+                    return victim
+        return min(self._facts.values(),
+                   key=lambda f: (f.weight(now, rate), f.fact_id))
 
     def _remove(self, fact: Fact) -> None:
         del self._facts[fact.fact_id]
         self._digest_dirty = True
-        members = self._by_class.get(fact.fact_class, [])
-        try:
-            members.remove(fact.fact_id)
-        except ValueError:
-            pass
-        if not members:
-            self._by_class.pop(fact.fact_class, None)
+        members = self._by_class.get(fact.fact_class)
+        if members is not None:
+            members.pop(fact.fact_id, None)
+            if not members:
+                del self._by_class[fact.fact_class]
 
     # -- queries --------------------------------------------------------------
     def find(self, fact_class: str, value: Any) -> Optional[Fact]:
-        for fid in self._by_class.get(fact_class, ()):
-            fact = self._facts[fid]
-            if fact.value == value:
-                return fact
+        members = self._by_class.get(fact_class)
+        if members:
+            for fact in members.values():
+                if fact.value == value:
+                    return fact
         return None
 
     def facts_of_class(self, fact_class: str) -> List[Fact]:
-        return [self._facts[fid]
-                for fid in self._by_class.get(fact_class, ())]
+        members = self._by_class.get(fact_class)
+        return list(members.values()) if members else []
 
     def all_facts(self) -> List[Fact]:
         return list(self._facts.values())
@@ -332,6 +440,7 @@ class KnowledgeBase:
         facts = self.facts_of_class(fact_class)
         for fact in facts:
             fact.touch(now, boost, self.decay_rate)
+            self._index(fact)
         return len(facts)
 
     # -- content digest -------------------------------------------------------

@@ -105,11 +105,8 @@ class TestFireOrder:
 # ----------------------------------------------------------------------
 
 class TestDigestMatrix:
-    # The test id predates the kernel's single loop: the calendar
-    # agenda and same-timestamp batching it once toggled are gone, and
-    # what it still guards is the K=1 digest at every shard count.
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_new_switches_digest_stable_across_shards(self, scenario):
+    def test_digest_stable_across_shards(self, scenario):
         reference = run_scenario(scenario, seed=7, scale="tiny")
         ks = (1, 2, 4) if scenario in SHARD_WORKLOADS else (1,)
         for k in ks:

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.knowledge import (DEFAULT_DECAY_RATE, Fact, KnowledgeBase,
-                                  KnowledgeQuantum, NetFunction)
+from repro.core.knowledge import (DEFAULT_DECAY_RATE, MAX_WEIGHT, Fact,
+                                  KnowledgeBase, KnowledgeQuantum,
+                                  NetFunction)
 
 
 class TestFact:
@@ -115,6 +118,160 @@ class TestKnowledgeBase:
                          now=0.0)
         kb.sweep(now=1000.0)
         assert kb.classes() == []
+
+    def test_class_order_survives_removal(self):
+        kb = KnowledgeBase(capacity=4)
+        for value, weight in ((1, 5.0), (2, 0.5), (3, 5.0)):
+            kb.record(Fact("a", value, created_at=0.0, weight=weight), 0.0)
+        kb.record(Fact("b", 1, created_at=0.0, weight=5.0), 0.0)
+        kb.record(Fact("a", 4, created_at=0.0, weight=5.0), 0.0)
+        assert [f.value for f in kb.facts_of_class("a")] == [1, 3, 4]
+        assert kb.classes() == ["a", "b"]
+        kb.record(Fact("c", 1, created_at=0.0, weight=0.1), 0.0)
+        assert kb.classes() == ["a", "b", "c"]
+
+    def test_find_compares_unhashable_values_by_equality(self):
+        kb = KnowledgeBase()
+        fact = kb.record(Fact("c", ["x", {"k": 1}], created_at=0.0), 0.0)
+        assert kb.find("c", ["x", {"k": 1}]) is fact
+        assert kb.find("c", ["x"]) is None
+        assert kb.record(Fact("c", ["x", {"k": 1}]), 1.0) is fact
+
+
+def reference_victim(kb, now):
+    """The weakest fact by a full scan: the eviction oracle."""
+    return min(kb.all_facts(),
+               key=lambda f: (f.weight(now, kb.decay_rate), f.fact_id))
+
+
+def record_checked(kb, fact, now):
+    """``kb.record`` asserting any eviction removed the reference victim."""
+    expected = reference_victim(kb, now) if len(kb) >= kb.capacity else None
+    before = {f.fact_id for f in kb.all_facts()}
+    evictions = kb.evictions
+    kb.record(fact, now)
+    removed = before - {f.fact_id for f in kb.all_facts()}
+    if kb.evictions > evictions:
+        assert removed == {expected.fact_id}
+    else:
+        assert not removed
+
+
+class TestEvictionIndex:
+    def test_evicts_in_weight_then_id_order(self):
+        kb = KnowledgeBase(capacity=3, decay_rate=0.1)
+        old = kb.record(Fact("c", "old", created_at=0.0, weight=2.0), 0.0)
+        tie_a = kb.record(Fact("c", "a", created_at=5.0, weight=1.0), 5.0)
+        tie_b = kb.record(Fact("c", "b", created_at=5.0, weight=1.0), 5.0)
+        # At t=5 "old" decays to 2·e^-0.5 ≈ 1.21, above the tied pair.
+        kb.record(Fact("c", "n1", created_at=5.0, weight=3.0), 5.0)
+        assert tie_a.fact_id not in kb
+        kb.record(Fact("c", "n2", created_at=5.0, weight=3.0), 5.0)
+        assert tie_b.fact_id not in kb
+        kb.record(Fact("c", "n3", created_at=20.0, weight=3.0), 20.0)
+        assert old.fact_id not in kb
+
+    def test_rounding_near_tie_resolves_like_the_scan(self):
+        kb = KnowledgeBase(capacity=2, decay_rate=0.1)
+        old = kb.record(Fact("c", "old", created_at=0.0), 0.0)
+        same = old.weight(1.0, kb.decay_rate)
+        # Equal weights at t=1, but the newer fact's key rounds lower.
+        assert math.log(same) + 0.1 * 1.0 < 0.0
+        kb.record(Fact("c", "new", created_at=1.0, weight=same), 1.0)
+        record_checked(kb, Fact("c", "x", created_at=1.0, weight=5.0), 1.0)
+        assert old.fact_id not in kb
+
+    def test_touch_moves_fact_up_the_ranking(self):
+        kb = KnowledgeBase(capacity=2)
+        first = kb.record(Fact("c", 1, created_at=0.0), 0.0)
+        second = kb.record(Fact("c", 2, created_at=0.0), 0.0)
+        kb.record(Fact("c", 3, created_at=0.0), 0.0)  # builds, evicts 1
+        assert first.fact_id not in kb
+        kb.touch_class("c", 1.0)
+        kb.record(Fact("c", 2, created_at=2.0), 2.0)  # touch 2 again
+        kb.record(Fact("c", 4, created_at=2.0), 2.0)
+        assert second.fact_id in kb and len(kb) == 2
+
+    def test_now_before_a_weight_time_is_exact(self):
+        kb = KnowledgeBase(capacity=2)
+        kb.record(Fact("c", "future", created_at=100.0, weight=1.0), 0.0)
+        early = kb.record(Fact("c", "early", created_at=0.0, weight=1.5),
+                          0.0)
+        # At now=0 the future fact has not decayed: 1.0 < 1.5.
+        record_checked(kb, Fact("c", "x", created_at=0.0, weight=9.0), 0.0)
+        assert early.fact_id in kb
+
+    @pytest.mark.parametrize("weight", [float("inf"), 2.0])
+    def test_unrankable_weight_falls_back_to_scan(self, weight):
+        kb = KnowledgeBase(capacity=3)
+        kb.record(Fact("a", 1, created_at=0.0, weight=weight), 0.0)
+        kb.record(Fact("b", 1, created_at=0.0), 0.0)
+        kb.record(Fact("c", 1, created_at=0.0), 0.0)
+        record_checked(kb, Fact("d", 1, created_at=1.0), 1.0)
+        assert kb.find("b", 1) is None
+        # A negative boost drives a weight below zero: no key.
+        kb.touch_class("c", 2.0, boost=-5.0)
+        record_checked(kb, Fact("d", 2, created_at=2.0), 2.0)
+        assert kb.find("c", 1) is None
+
+    def test_subnormal_weights_tie_like_the_scan(self):
+        kb = KnowledgeBase(capacity=3, decay_rate=0.5)
+        for value, weight in (("a", 2.0), ("b", 1.0), ("c", 1.5)):
+            kb.record(Fact("c", value, created_at=0.0, weight=weight), 0.0)
+        # All three decay to 0.0: the lowest id goes, not the lowest key.
+        record_checked(kb, Fact("c", "d", created_at=1e4), 1e4)
+        assert kb.find("c", "a") is None
+
+    def test_index_memory_stays_bounded(self):
+        capacity = 64
+        kb = KnowledgeBase(capacity=capacity)
+        now = 0.0
+        for i in range(100_000):
+            now += 1e-3
+            value = i % (capacity // 2) if i % 5 else 10_000 + i
+            kb.record(Fact(f"c{i % 3}", value, created_at=now), now)
+        held = sum(len(ids) for ids in kb._groups.values())
+        assert kb.evictions > 0
+        assert held == kb._entries
+        assert len(kb._ranks) <= held <= 5 * capacity + 64
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=40),
+        rate=st.floats(min_value=1e-6, max_value=0.5),
+        ops=st.lists(st.tuples(
+            st.sampled_from(["record"] * 6 + ["touch", "sweep"]),
+            st.one_of(st.sampled_from([0.0, 0.0, 1e-12, 1e-9, -1e-9]),
+                      st.floats(min_value=-5.0, max_value=50.0)),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=60),
+            st.one_of(
+                st.sampled_from([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 0.5,
+                                 MAX_WEIGHT, MAX_WEIGHT + 1e-9, 12.0,
+                                 1e3, 1e-3, None]),
+                st.floats(min_value=1e-3, max_value=20.0)),
+            st.sampled_from([0.0, 0.0, 0.0, -2.0, 3.0])),
+            min_size=1, max_size=150))
+    @settings(max_examples=150, deadline=None)
+    def test_victim_matches_reference_scan(self, capacity, rate, ops):
+        kb = KnowledgeBase(capacity=capacity, decay_rate=rate)
+        now = 0.0
+        for op, step, cls, value, weight, lag in ops:
+            now += step
+            if op == "touch":
+                kb.touch_class(f"c{cls}", now, boost=weight or 1.0)
+            elif op == "sweep":
+                kb.sweep(now)
+            else:
+                facts = kb.all_facts()
+                if weight is None and facts:
+                    # Near tie: the decayed weight of a stored fact,
+                    # recorded at ``now`` under a different (w, t).
+                    weight = facts[value % len(facts)].weight(now, rate)
+                if not weight or weight <= 0.0:
+                    weight = 1.0
+                record_checked(kb, Fact(f"c{cls}", value,
+                                        created_at=now + lag,
+                                        weight=weight), now)
 
 
 class TestNetFunction:

@@ -59,12 +59,8 @@ def baseline_runs():
 # ----------------------------------------------------------------------
 
 class TestScenarioDigests:
-    # The test id predates the graduation of the optimization switches.
-    # The baseline was recorded with all of them off, and the one kernel
-    # left must reproduce it byte for byte.
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_digest_invariant_under_every_switch(self, scenario,
-                                                 baseline_runs):
+    def test_reproduces_baseline_digest(self, scenario, baseline_runs):
         entries, fresh = baseline_runs
         assert scenario in fresh, (
             f"{scenario} has no BENCH_baseline.json entry; regenerate "
