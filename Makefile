@@ -143,15 +143,21 @@ chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign smoke --seed 7
 	@echo "chaos-smoke: invariants held"
 
-# Fault-tolerant sharding gate: SIGKILL a shard worker mid-run (the
-# worker-kill campaign asserts the recovered 2-shard digest equals the
-# fault-free single-shard digest and that a restart actually
-# happened), then run a supervised 2-worker bench and require its
-# digest byte-identical to the committed baseline.  Recovery must be
+# Fault-tolerant sharding gate: every worker-* chaos campaign, one per
+# revive path of the barrier loop — a crash seen at the reply
+# (worker-kill), a missed reply deadline (worker-stall), a death found
+# at the next send or the pre-send sweep (worker-kill-during-handoff)
+# and degradation when the restart budget runs out
+# (worker-budget-exhausted).  Each asserts the 2-shard digest equals
+# the fault-free single-shard digest.  Then a supervised 2-worker bench
+# must reproduce the committed baseline digest.  Recovery must be
 # invisible where determinism is judged.
 recovery-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --campaign worker-kill \
-		--seed 7
+	@for campaign in worker-kill worker-stall \
+			worker-kill-during-handoff worker-budget-exhausted; do \
+		PYTHONPATH=src $(PYTHON) -m repro chaos --campaign $$campaign \
+			--seed 7 || exit 1; \
+	done
 	PYTHONPATH=src $(PYTHON) -m repro bench shard-scaling \
 		--workers 2 --backend mp --recover --seed 42 --scale short \
 		--out /tmp/recovery-smoke \

@@ -124,11 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "workers, journal epochs, and recover "
                             "crashed/stalled workers digest-identically "
                             "(see docs/RESILIENCE.md)")
-    bench.add_argument("--checkpoint-every", type=int, default=None,
-                       metavar="N",
-                       help="with --recover: compact the epoch journal "
-                            "into checkpoints every N barriers "
-                            "(default: 8; 0 disables)")
     bench.add_argument("--obs-out", metavar="PATH", default=None,
                        help="collect each shard's metrics/spans/profile, "
                             "merge them and write the unified JSONL "
@@ -424,18 +419,7 @@ def cmd_bench(args) -> int:
                   "oracle has no processes to lose)", file=sys.stderr)
             return 2
         from .shard import RecoveryConfig
-        kwargs = {}
-        if args.checkpoint_every is not None:
-            if args.checkpoint_every < 0:
-                print("bench: --checkpoint-every must be >= 0",
-                      file=sys.stderr)
-                return 2
-            kwargs["checkpoint_every"] = args.checkpoint_every
-        recovery = RecoveryConfig(**kwargs)
-    elif args.checkpoint_every is not None:
-        print("bench: --checkpoint-every only applies with --recover",
-              file=sys.stderr)
-        return 2
+        recovery = RecoveryConfig()
     if args.obs_out:
         from .perf import SHARD_WORKLOADS
         if names is None or len(names) != 1 \

@@ -24,6 +24,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..shard.executor import run_sharded
+from ..shard.recovery import RecoveryConfig
 from ..substrates.sim.agenda import tally_delta, tally_snapshot
 from .digest import run_digest
 from .scenarios import SCENARIOS, SHARD_WORKLOADS
@@ -124,7 +125,7 @@ class BenchResult:
 def run_scenario(name: str, seed: int = 42, scale: str = "short",
                  repeats: int = 1, workers: int = 1,
                  backend: str = "inline", obs: bool = False,
-                 recovery: Optional[Any] = None) -> BenchResult:
+                 recovery: Optional[RecoveryConfig] = None) -> BenchResult:
     """Run one scenario; wall time is the best of ``repeats`` passes.
 
     ``workers > 1`` executes the scenario partitioned over shards
@@ -141,11 +142,10 @@ def run_scenario(name: str, seed: int = 42, scale: str = "short",
     still produces a (K=1) merged view.  Telemetry is digest-neutral:
     counters stay byte-identical to an obs-off run.
 
-    ``recovery`` (a :class:`~repro.shard.recovery.RecoveryConfig`, or
-    ``True`` for the defaults) enables the fault-tolerant mp backend —
-    worker supervision, epoch journaling, digest-identical crash
-    recovery; the supervisor's accounting lands in
-    ``shard_stats["recovery"]``.
+    ``recovery`` (a :class:`~repro.shard.recovery.RecoveryConfig`)
+    makes the mp backend fault-tolerant — epoch journaling and
+    digest-identical crash recovery; the supervisor's accounting lands
+    in ``shard_stats["recovery"]``.
 
     Every pass must reproduce the same counters — a mismatch means the
     scenario leaks process-global state and is reported loudly rather
@@ -240,7 +240,8 @@ def run_sanitized(name: str, seed: int = 42, scale: str = "short",
 def run_all(seed: int = 42, scale: str = "short", repeats: int = 1,
             names: Optional[Sequence[str]] = None, workers: int = 1,
             backend: str = "inline",
-            recovery: Optional[Any] = None) -> List[BenchResult]:
+            recovery: Optional[RecoveryConfig] = None
+            ) -> List[BenchResult]:
     """Run the suite (or the ``names`` subset) in catalog order."""
     selected = list(names) if names else list(SCENARIOS)
     return [run_scenario(name, seed=seed, scale=scale, repeats=repeats,

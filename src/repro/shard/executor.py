@@ -8,9 +8,12 @@ Two backends behind one API:
     same pickle round-trip the multiprocessing transport uses, so the
     two backends exercise byte-identical semantics.
 ``mp``
-    One forked worker per shard, handoff batches exchanged over pipes.
-    Real multi-core speedup; every digest must equal the inline (and
-    the single-shard) run.
+    One forked worker per shard, handoff batches exchanged over pipes
+    and run by the one parent-side barrier loop in
+    :mod:`repro.shard.supervisor` (which, given a
+    :class:`~repro.shard.recovery.RecoveryConfig`, also recovers dead
+    or stalled workers).  Real multi-core speedup; every digest must
+    equal the inline (and the single-shard) run.
 
 Epoch protocol
 --------------
@@ -37,6 +40,7 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .fabric import Handoff, ShardFabric
 from .partition import ShardPlan, partition
+from .recovery import RecoveryConfig
 
 NodeId = Hashable
 
@@ -134,7 +138,7 @@ def _arm_obs(ctx: Dict[str, Any], shard_index: int):
 
 def run_sharded(workload: ShardWorkload, workers: int,
                 backend: str = "inline", obs: bool = False,
-                recovery: Optional[Any] = None
+                recovery: Optional[RecoveryConfig] = None
                 ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
     """Execute ``workload`` over ``workers`` shards.
 
@@ -151,10 +155,11 @@ def run_sharded(workload: ShardWorkload, workers: int,
     schedules events, so ``obs=True`` leaves counters and digests
     byte-identical to an obs-off run.
 
-    ``recovery`` (a :class:`~repro.shard.recovery.RecoveryConfig`, or
-    ``True`` for the defaults) enables the fault-tolerant mp backend:
-    worker supervision, epoch journaling and digest-identical crash
-    recovery (see :mod:`repro.shard.supervisor`).  Ignored for the
+    ``recovery`` (a :class:`~repro.shard.recovery.RecoveryConfig`)
+    makes the mp backend fault-tolerant: epoch journaling and
+    digest-identical crash recovery (see :mod:`repro.shard.supervisor`).
+    Without it a dead or stalled mp worker raises a typed
+    :class:`~repro.shard.recovery.ShardWorkerError`.  Ignored for the
     inline backend, which has no processes to lose.
     """
     if backend not in ("inline", "mp"):
@@ -182,14 +187,8 @@ def run_sharded(workload: ShardWorkload, workers: int,
         stats["obs"] = merged
         return counters, work, stats
     if backend == "mp":
-        if recovery:
-            from .recovery import RecoveryConfig
-            from .supervisor import run_supervised
-            config = (recovery if isinstance(recovery, RecoveryConfig)
-                      else RecoveryConfig())
-            return run_supervised(workload, plan, obs=obs,
-                                  recovery=config)
-        return _run_mp(workload, plan, obs=obs)
+        from .supervisor import run_supervised
+        return run_supervised(workload, plan, obs=obs, recovery=recovery)
     return _run_inline(workload, plan, obs=obs)
 
 
@@ -312,26 +311,27 @@ def _run_inline(workload: ShardWorkload, plan: ShardPlan, obs: bool = False
 
 
 # ----------------------------------------------------------------------
-# mp backend (forked workers, piped handoffs)
+# mp worker (forked, piped handoffs; the parent loop is the supervisor)
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                  shard_index: int, obs: bool = False) -> None:
     """One shard in its own process: build, then serve the barrier
-    protocol — inject, run to the epoch end, return the outbox (plus
-    the running event/CPU counters the epoch timeline needs).  With
-    ``obs`` on, the collect reply carries the worker's full
-    :class:`~repro.obs.snapshot.ObsSnapshot` back over the pipe.
+    protocol.  With ``obs`` on, the collect reply carries the worker's
+    full :class:`~repro.obs.snapshot.ObsSnapshot` back over the pipe.
 
-    A ``("replay", entries, verify)`` message (sent by the supervisor
-    to a freshly forked replacement, see :mod:`repro.shard.supervisor`)
-    fast-forwards this replica through the journaled epoch history:
-    each entry's injection batch is unpickled, injected and run to its
-    barrier, and the resulting outbox is *discarded* — the original
-    worker already shipped those handoffs before it died.  With
-    ``verify`` on the discarded outboxes are fingerprinted against the
-    journaled partial digests, so a replay that diverged is detected at
-    the worker, not at the final digest."""
+    ``("epoch", epoch_end, batch_bytes)`` injects the pickled batch,
+    runs to the epoch end and replies with the outbox (plus the running
+    event/CPU counters the epoch timeline needs).
+
+    ``("replay", entries, verify)`` (sent by the supervisor to a freshly
+    forked replacement, see :mod:`repro.shard.supervisor`) fast-forwards
+    this replica through the journaled epoch history by the same step,
+    and *discards* each outbox — the original worker already shipped
+    those handoffs before it died.  With ``verify`` on the discarded
+    outboxes are fingerprinted against the journaled partial digests, so
+    a replay that diverged is detected at the worker, not at the final
+    digest."""
     import time
     workload = pickle.loads(workload_bytes)
     owned = frozenset(plan.shards[shard_index])
@@ -342,37 +342,32 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
     sim, fabric = ctx["sim"], ctx["fabric"]
     cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
     barriers = 0
+
+    def step(epoch_end: float, batch_bytes: bytes) -> List[Handoff]:
+        nonlocal barriers
+        fabric.inject(pickle.loads(batch_bytes))
+        sim.run(until=epoch_end)
+        if sim.obs.on:
+            sim.obs.shard_barriers.inc()
+            if sim._flight is not None:
+                sim._flight.note("barrier", epoch_end, f"epoch#{barriers}")
+        barriers += 1
+        return fabric.drain_outbox()
+
     try:
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "epoch":
-                _, epoch_end, batch = message
-                fabric.inject(batch)
-                sim.run(until=epoch_end)
-                if sim.obs.on:
-                    sim.obs.shard_barriers.inc()
-                    if sim._flight is not None:
-                        sim._flight.note("barrier", epoch_end,
-                                         f"epoch#{barriers}")
-                barriers += 1
+                outbox = step(message[1], message[2])
                 cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-                conn.send((fabric.drain_outbox(), sim.events_executed,
-                           cpu_s))
+                conn.send((outbox, sim.events_executed, cpu_s))
             elif kind == "replay":
                 _, entries, verify = message
                 from .recovery import outbox_digest
                 mismatches = 0
                 for epoch_end, batch_bytes, expected in entries:
-                    fabric.inject(pickle.loads(batch_bytes))
-                    sim.run(until=epoch_end)
-                    if sim.obs.on:
-                        sim.obs.shard_barriers.inc()
-                        if sim._flight is not None:
-                            sim._flight.note("barrier", epoch_end,
-                                             f"epoch#{barriers}")
-                    barriers += 1
-                    outbox = fabric.drain_outbox()
+                    outbox = step(epoch_end, batch_bytes)
                     if verify and expected is not None \
                             and outbox_digest(outbox) != expected:
                         mismatches += 1
@@ -398,158 +393,6 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                 return
     finally:
         conn.close()
-
-
-def _recv_deadline(conn, proc, shard_index: int, epoch: int,
-                   barrier_time: float,
-                   deadline_s: Optional[float] = None):
-    """One barrier reply, bounded by ``deadline_s`` (default
-    :data:`~repro.shard.recovery.DEFAULT_BARRIER_DEADLINE_S`).
-
-    Raises a typed error instead of blocking forever: a missed deadline
-    with a live process is a :class:`~repro.shard.recovery.
-    ShardWorkerTimeout` (stall), a dead process or EOF on the pipe is a
-    :class:`~repro.shard.recovery.ShardWorkerCrash` — both even when
-    recovery is disabled, so a hung worker can never wedge the parent.
-    """
-    from .recovery import (DEFAULT_BARRIER_DEADLINE_S, ShardWorkerCrash,
-                           ShardWorkerTimeout)
-    if deadline_s is None:
-        deadline_s = DEFAULT_BARRIER_DEADLINE_S
-    if not conn.poll(deadline_s):
-        if proc.is_alive():
-            raise ShardWorkerTimeout(shard_index, epoch, barrier_time,
-                                     deadline_s)
-        raise ShardWorkerCrash(shard_index, epoch, barrier_time,
-                               proc.exitcode)
-    try:
-        return conn.recv()
-    except (EOFError, BrokenPipeError, OSError) as exc:
-        proc.join(timeout=10.0)
-        raise ShardWorkerCrash(shard_index, epoch, barrier_time,
-                               proc.exitcode, cause=repr(exc)) from exc
-
-
-def _shutdown_workers(pipes, procs) -> None:
-    """Escalating teardown shared by every mp exit path (success and
-    abort): close the parent pipe ends, then ``join`` → ``terminate``
-    → ``kill`` → ``join`` each worker, and ``close()`` the process
-    handles so no zombies or leaked fds survive.  ``kill`` matters: a
-    SIGSTOPped worker shrugs off SIGTERM (it stays pending while the
-    process is stopped) but not SIGKILL."""
-    for conn in pipes:
-        try:
-            conn.close()
-        except OSError:
-            pass
-    for proc in procs:
-        proc.join(timeout=10.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-    for proc in procs:
-        try:
-            proc.close()
-        except ValueError:
-            pass
-
-
-def _run_mp(workload: ShardWorkload, plan: ShardPlan, obs: bool = False
-            ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-    import multiprocessing
-    import time
-    try:
-        mp_ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        # No fork on this platform: the inline oracle is always exact.
-        return _run_inline(workload, plan, obs=obs)
-    workload_bytes = pickle.dumps(workload)
-    pipes, procs = [], []
-    try:
-        for shard_index in range(plan.k):
-            parent_conn, child_conn = mp_ctx.Pipe()
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(child_conn, workload_bytes, plan, shard_index, obs),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            procs.append(proc)
-        handoffs = 0
-        barriers = 0
-        stall_s = 0.0
-        epoch_records: List[Dict[str, Any]] = []
-        prev_events = [0] * plan.k
-        prev_cpu = [0.0] * plan.k
-        epoch_start = 0.0
-        batches: Dict[int, List[Handoff]] = {}
-        for epoch_end in _epoch_ends(workload.horizon(), plan.lookahead):
-            for shard_index, conn in enumerate(pipes):
-                conn.send(("epoch", epoch_end,
-                           batches.get(shard_index, [])))
-            t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            replies = [_recv_deadline(conn, procs[i], i, barriers,
-                                      epoch_end)
-                       for i, conn in enumerate(pipes)]
-            epoch_stall = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            stall_s += epoch_stall
-            outboxes = [reply[0] for reply in replies]
-            batches = _route(plan, outboxes)
-            epoch_handoffs = sum(len(b) for b in batches.values())
-            handoffs += epoch_handoffs
-            if obs:
-                from ..obs.timeline import make_epoch_record
-                events = [reply[1] for reply in replies]
-                cpu = [reply[2] for reply in replies]
-                epoch_records.append(make_epoch_record(
-                    barriers, epoch_start, epoch_end, epoch_handoffs,
-                    [e - p for e, p in zip(events, prev_events)],
-                    [c - p for c, p in zip(cpu, prev_cpu)],
-                    epoch_stall))
-                prev_events, prev_cpu = events, cpu
-            barriers += 1
-            epoch_start = epoch_end
-        partials = []
-        worker_cpu_s = []
-        snapshots = []
-        for conn in pipes:
-            conn.send(("collect",))
-        for i, conn in enumerate(pipes):
-            partial, cpu_s, snapshot = _recv_deadline(
-                conn, procs[i], i, barriers, epoch_start)
-            partials.append(partial)
-            worker_cpu_s.append(cpu_s)
-            if snapshot is not None:
-                snapshots.append(snapshot)
-        for conn in pipes:
-            conn.send(("quit",))
-    except (EOFError, BrokenPipeError, OSError) as exc:
-        # A send-side pipe failure: attribute it to the first dead
-        # worker (the recv side raises typed errors itself).
-        from .recovery import ShardWorkerCrash
-        dead = next((i for i, p in enumerate(procs)
-                     if not p.is_alive()), -1)
-        exitcode = procs[dead].exitcode if dead >= 0 else None
-        raise ShardWorkerCrash(dead, barriers, epoch_start, exitcode,
-                               cause=repr(exc)) from exc
-    finally:
-        _shutdown_workers(pipes, procs)
-    counters, work = workload.finalize(_sum_partials(partials))
-    stats = _stats(plan, "mp", barriers, handoffs,
-                   [p.get("events_executed", 0) for p in partials],
-                   worker_cpu_s)
-    stats["barrier_stall_s"] = round(stall_s, 6)
-    if obs and snapshots:
-        from ..obs.snapshot import merge_snapshots
-        merged = merge_snapshots(snapshots)
-        merged.add_epochs(epoch_records)
-        merged.add_shard_stats(worker_cpu_s, stall_s)
-        stats["obs"] = merged
-    return counters, work, stats
 
 
 def _stats(plan: ShardPlan, backend: str, barriers: int, handoffs: int,

@@ -1,15 +1,21 @@
-"""The supervising parent loop for fault-tolerant sharded execution.
+"""The parent's mp barrier loop, with optional fault-tolerant recovery.
 
-:func:`run_supervised` drives the same epoch-barrier protocol as the
-plain mp backend, but wraps every protocol step in supervision:
+:class:`ShardSupervisor` runs the mp epoch barrier protocol from the
+parent, in one loop: it forks one worker per shard, pickles each shard's
+injection batch once per epoch, waits for every reply under a bounded
+deadline and tears the workers down (join, terminate, kill, close) on
+every exit path.  A worker that dies or stalls raises a typed
+:class:`~repro.shard.recovery.ShardWorkerCrash` /
+:class:`~repro.shard.recovery.ShardWorkerTimeout` — never a hang.
 
-* every epoch's injection batches are journaled *before* the send
-  (:class:`~repro.shard.recovery.EpochJournal`), and every worker's
-  outbox digest is journaled as its reply arrives;
-* worker death (exitcode sentinel / EOF / broken pipe) and stall
-  (missed per-barrier reply deadline) are detected, the dead process is
-  reaped, and a replacement is forked after a seeded exponential
-  backoff;
+With a :class:`~repro.shard.recovery.RecoveryConfig` the same loop also
+*recovers* instead of raising:
+
+* every epoch's injection bytes — the very bytes sent over the pipes —
+  are appended to an :class:`~repro.shard.recovery.EpochJournal` before
+  the send, and every worker's outbox digest as its reply arrives;
+* the dead or stalled process is reaped and a replacement is forked
+  after a seeded exponential backoff;
 * the replacement rebuilds its replica from the same workload bytes and
   **replays** the journaled injection history to the current barrier —
   determinism guarantees it reaches the exact state the original had,
@@ -20,6 +26,10 @@ plain mp backend, but wraps every protocol step in supervision:
   re-executes the workload from scratch in-process, flagged
   ``degraded`` in stats — never a crash.
 
+Without one (``recovery=None``) the loop keeps no journal, computes no
+outbox digest and injects no faults, so a plain mp run pays nothing for
+supervision.
+
 Fault injection (:class:`~repro.shard.recovery.FaultPlan`) is applied
 by the supervisor itself at exact protocol points, so chaos campaigns
 are reproducible: ``kill`` lands right before the epoch send (death
@@ -27,9 +37,9 @@ detected immediately), ``stall`` suspends the worker so the reply
 deadline trips, ``kill-after-reply`` lands between barriers (death
 detected at the next send or at collect).
 
-With ``obs`` on, the supervisor keeps its own flight recorder and span
-tracer (shard id ``K``, span ids rebased past every worker's range) so
-restarts, replays, checkpoints and degradation appear in the merged
+With ``obs`` on, a recovering supervisor keeps its own flight recorder
+and span tracer (shard id ``K``, span ids rebased past every worker's
+range) so restarts, replays and degradation appear in the merged
 telemetry next to the worker-side streams.
 """
 
@@ -45,11 +55,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from .executor import (ShardWorkload, _epoch_ends, _route, _run_inline,
                        _stats, _sum_partials, _worker_main)
 from .partition import ShardPlan
-from .recovery import (FAULT_KILL, FAULT_KILL_AFTER_REPLY, FAULT_STALL,
-                       EpochJournal, RecoveryConfig,
-                       RestartBudgetExhausted, ShardWorkerCrash,
-                       ShardWorkerError, ShardWorkerTimeout,
-                       outbox_digest)
+from .recovery import (DEFAULT_BARRIER_DEADLINE_S, FAULT_KILL,
+                       FAULT_KILL_AFTER_REPLY, FAULT_STALL, EpochJournal,
+                       RecoveryConfig, RestartBudgetExhausted,
+                       ShardWorkerCrash, ShardWorkerError,
+                       ShardWorkerTimeout, outbox_digest)
 
 
 class _Worker:
@@ -65,19 +75,25 @@ class _Worker:
 
 
 class ShardSupervisor:
-    """Owns the worker pool, the epoch journal and the restart ladder."""
+    """Owns the worker pool and, under recovery, the epoch journal and
+    the restart ladder."""
 
     def __init__(self, workload: ShardWorkload, plan: ShardPlan,
-                 obs: bool, config: RecoveryConfig, mp_ctx):
+                 obs: bool, config: Optional[RecoveryConfig], mp_ctx):
         self.workload = workload
         self.plan = plan
         self.obs = obs
         self.config = config
         self.mp_ctx = mp_ctx
         self.workload_bytes = pickle.dumps(workload)
-        self.journal = EpochJournal(plan.k, spill_dir=config.spill_dir)
         self.workers: List[Optional[_Worker]] = [None] * plan.k
-        self.backoff = config.backoff_rng(workload.seed)
+        self.deadline_s = (config.barrier_deadline_s if config is not None
+                           else DEFAULT_BARRIER_DEADLINE_S)
+        #: The journal exists only under recovery; ``None`` is the plain
+        #: mp run, where any worker failure raises.
+        self.journal = EpochJournal(plan.k) if config is not None else None
+        self.backoff = (config.backoff_rng(workload.seed)
+                        if config is not None else None)
         # recovery accounting
         self.restarts = 0
         self.restarts_by_shard = [0] * plan.k
@@ -87,14 +103,13 @@ class ShardSupervisor:
         self.replayed_epochs = 0
         self.digest_mismatches = 0
         self.backoff_s = 0.0
-        # barrier position (for error attribution)
+        # barrier position (for error attribution and replay)
         self.epoch = 0
-        self.epoch_end = 0.0
         self._prev_cpu = [0.0] * plan.k
         # parent-plane telemetry
         self.flight = None
         self.tracer = None
-        if obs:
+        if obs and config is not None:
             from ..obs.flight import FlightRecorder
             from ..obs.snapshot import SHARD_ID_STRIDE
             from ..obs.spans import SpanTracer
@@ -123,30 +138,36 @@ class ShardSupervisor:
         self.workers[shard_index] = worker
         return worker
 
-    def _reap(self, worker: _Worker) -> None:
+    def _reap(self, worker: _Worker, join_s: float = 0.0) -> None:
+        """Escalating teardown of one worker: close the parent pipe end,
+        then ``join`` (up to ``join_s``) → ``terminate`` → ``kill`` →
+        ``close``, so no zombie or leaked fd survives.  ``kill`` matters:
+        a SIGSTOPped worker shrugs off SIGTERM (it stays pending while
+        the process is stopped) but not SIGKILL."""
         try:
             worker.conn.close()
         except OSError:
             pass
         proc = worker.proc
+        proc.join(timeout=join_s)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=1.0)
         if proc.is_alive():
             proc.kill()
-        proc.join(timeout=10.0)
+            proc.join(timeout=5.0)
         try:
             proc.close()
         except ValueError:
             pass
 
-    def shutdown(self) -> None:
-        """Kill and reap every live worker (idempotent)."""
+    def shutdown(self, join_s: float = 0.0) -> None:
+        """Reap every live worker (idempotent).  ``join_s`` is the grace
+        a worker that was sent ``quit`` gets to exit on its own."""
         for worker in self.workers:
             if worker is not None:
-                self._reap(worker)
+                self._reap(worker, join_s)
         self.workers = [None] * self.plan.k
-
-    def close(self) -> None:
-        self.shutdown()
-        self.journal.close()
 
     # -- protocol primitives ----------------------------------------------
     def _await(self, worker: _Worker, deadline_s: float,
@@ -175,41 +196,67 @@ class ShardSupervisor:
                                    cause=repr(exc)) from exc
 
     def _send(self, shard_index: int, message: Tuple,
-              barrier_time: float, upto_epoch: int) -> None:
-        """Send with crash-on-send recovery: a broken pipe means the
-        worker died since the last barrier — revive and resend."""
+              barrier_time: float) -> None:
+        """Send with crash-on-send handling: a broken pipe means the
+        worker died since the last barrier — revive and resend under
+        recovery, raise :class:`ShardWorkerCrash` without."""
+        worker = self.workers[shard_index]
         try:
-            self.workers[shard_index].conn.send(message)
+            worker.conn.send(message)
             return
-        except (BrokenPipeError, OSError):
+        except (BrokenPipeError, OSError) as exc:
             self.crashes += 1
-        self._revive(shard_index, upto_epoch, "send-failed", barrier_time)
+            if self.journal is None:
+                worker.proc.join(timeout=10.0)
+                raise ShardWorkerCrash(shard_index, self.epoch,
+                                       barrier_time, worker.proc.exitcode,
+                                       cause=repr(exc)) from exc
+        self._revive(shard_index, "send-failed", barrier_time)
         self.workers[shard_index].conn.send(message)
 
+    def _reply(self, shard_index: int, barrier_time: float,
+               message: Tuple) -> Any:
+        """One worker's reply to ``message``.  Under recovery a dead or
+        stalled worker is revived and sent ``message`` again, as many
+        times as the budget allows; without, the typed error raises."""
+        while True:
+            try:
+                return self._await(self.workers[shard_index],
+                                   self.deadline_s, barrier_time)
+            except ShardWorkerError as exc:
+                if self.journal is None:
+                    raise
+                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
+                          else "crash")
+            self._revive(shard_index, reason, barrier_time)
+            self._prev_cpu[shard_index] = 0.0
+            self._send(shard_index, message, barrier_time)
+
     # -- restart ladder ----------------------------------------------------
-    def _revive(self, shard_index: int, upto_epoch: int, reason: str,
+    def _revive(self, shard_index: int, reason: str,
                 barrier_time: float) -> _Worker:
         """Replace the worker for ``shard_index`` and replay it to the
-        state at barrier ``upto_epoch``.  Raises
+        state at the current barrier.  Raises
         :class:`RestartBudgetExhausted` when the run-wide budget is
         spent; loops if the replacement itself dies during replay."""
-        old = self.workers[shard_index]
-        if old is not None:
-            self._reap(old)
-            self.workers[shard_index] = None
+        config = self.config
         while True:
-            if self.restarts >= self.config.max_restarts:
+            old = self.workers[shard_index]
+            if old is not None:
+                self._reap(old)
+                self.workers[shard_index] = None
+            if self.restarts >= config.max_restarts:
                 raise RestartBudgetExhausted(
                     shard_index, self.epoch, barrier_time,
-                    self.config.max_restarts)
+                    config.max_restarts)
             self.restarts += 1
             self.restarts_by_shard[shard_index] += 1
             attempt = self.restarts_by_shard[shard_index]
             # Exponential backoff with jitter from the dedicated seeded
             # stream — even the wall-clock pauses are a pure function of
             # (seed, restart ordinal).
-            base = min(self.config.backoff_max_s,
-                       self.config.backoff_base_s * (2 ** (attempt - 1)))
+            base = min(config.backoff_max_s,
+                       config.backoff_base_s * (2 ** (attempt - 1)))
             pause = base * (0.5 + 0.5 * self.backoff.random())
             if pause > 0:
                 time.sleep(pause)
@@ -224,7 +271,7 @@ class ShardSupervisor:
                     "shard.restart", f"shard{shard_index}", barrier_time)
                 span.attrs.update(reason=reason, epoch=self.epoch,
                                   generation=worker.generation)
-            entries = self.journal.replay_entries(shard_index, upto_epoch)
+            entries = self.journal.replay_entries(shard_index, self.epoch)
             replay_span = None
             if self.tracer is not None and span is not None:
                 replay_span = self.tracer.start_span(
@@ -233,12 +280,9 @@ class ShardSupervisor:
                 replay_span.attrs["epochs"] = len(entries)
             try:
                 worker.conn.send(
-                    ("replay", entries, self.config.verify_replay_digests))
-                deadline = (self.config.barrier_deadline_s
-                            * max(1, len(entries)))
+                    ("replay", entries, config.verify_replay_digests))
+                deadline = config.barrier_deadline_s * max(1, len(entries))
                 ack = self._await(worker, deadline, barrier_time)
-            except RestartBudgetExhausted:
-                raise
             except ShardWorkerError:
                 reason = "replay-died"
                 continue
@@ -259,7 +303,7 @@ class ShardSupervisor:
                 span.finish(barrier_time)
             return worker
 
-    def _revive_dead(self, upto_epoch: int, barrier_time: float) -> None:
+    def _revive_dead(self, barrier_time: float) -> None:
         """Pre-send sweep: revive any worker that died between barriers
         (kill-after-reply faults, spontaneous deaths)."""
         for shard_index in range(self.plan.k):
@@ -267,8 +311,8 @@ class ShardSupervisor:
             if worker is None or not worker.proc.is_alive():
                 if worker is not None:
                     self.crashes += 1
-                self._revive(shard_index, upto_epoch,
-                             "died-between-barriers", barrier_time)
+                self._revive(shard_index, "died-between-barriers",
+                             barrier_time)
 
     # -- fault injection ---------------------------------------------------
     def _fault_targets(self, fault) -> Optional[_Worker]:
@@ -316,12 +360,12 @@ class ShardSupervisor:
                            f"SIGKILL-after-reply shard{fault.shard}",
                            epoch=epoch)
 
-    # -- the supervised barrier loop ---------------------------------------
+    # -- the barrier loop --------------------------------------------------
     def run(self) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-        plan, config = self.plan, self.config
+        plan, journal = self.plan, self.journal
         ends = _epoch_ends(self.workload.horizon(), plan.lookahead)
-        if config.faults is not None:
-            config.faults.normalize(len(ends))
+        if journal is not None and self.config.faults is not None:
+            self.config.faults.normalize(len(ends))
         for shard_index in range(plan.k):
             self._spawn(shard_index)
         handoffs = 0
@@ -331,35 +375,40 @@ class ShardSupervisor:
         epoch_start = 0.0
         batches: Dict[int, List[Any]] = {}
         for epoch, epoch_end in enumerate(ends):
-            self.epoch, self.epoch_end = epoch, epoch_end
-            self._apply_pre_faults(epoch, epoch_end)
-            self._revive_dead(epoch, epoch_end)
-            self.journal.record_send(epoch, epoch_end, batches)
+            self.epoch = epoch
+            # One wire format: each batch is pickled once, and the same
+            # bytes go over the pipe and into the journal.
+            wire = [pickle.dumps(batches.get(i, []))
+                    for i in range(plan.k)]
+            if journal is not None:
+                self._apply_pre_faults(epoch, epoch_end)
+                self._revive_dead(epoch_end)
+                journal.record_send(epoch_end, wire)
             for shard_index in range(plan.k):
                 self._send(shard_index,
-                           ("epoch", epoch_end,
-                            batches.get(shard_index, [])),
-                           epoch_end, epoch)
+                           ("epoch", epoch_end, wire[shard_index]),
+                           epoch_end)
             t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            replies = [self._barrier_reply(i, epoch_end,
-                                           batches.get(i, []))
+            replies = [self._reply(i, epoch_end,
+                                   ("epoch", epoch_end, wire[i]))
                        for i in range(plan.k)]
             epoch_stall = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
             stall_s += epoch_stall
             outboxes = [reply[0] for reply in replies]
-            for shard_index, outbox in enumerate(outboxes):
-                self.journal.record_digest(epoch, shard_index,
-                                           outbox_digest(outbox))
             batches = _route(plan, outboxes)
-            handoffs += sum(len(b) for b in batches.values())
-            self._apply_post_faults(epoch, epoch_end)
+            epoch_handoffs = sum(len(b) for b in batches.values())
+            handoffs += epoch_handoffs
+            if journal is not None:
+                for shard_index, outbox in enumerate(outboxes):
+                    journal.record_digest(epoch, shard_index,
+                                          outbox_digest(outbox))
+                self._apply_post_faults(epoch, epoch_end)
             if self.obs:
                 from ..obs.timeline import make_epoch_record
                 events = [reply[1] for reply in replies]
                 cpu = [reply[2] for reply in replies]
                 epoch_records.append(make_epoch_record(
-                    epoch, epoch_start, epoch_end,
-                    sum(len(b) for b in batches.values()),
+                    epoch, epoch_start, epoch_end, epoch_handoffs,
                     [e - p for e, p in zip(events, prev_events)],
                     [max(0.0, c - p)
                      for c, p in zip(cpu, self._prev_cpu)],
@@ -367,90 +416,48 @@ class ShardSupervisor:
                 prev_events = events
                 self._prev_cpu = cpu
             epoch_start = epoch_end
-            if (config.checkpoint_every
-                    and (epoch + 1) % config.checkpoint_every == 0
-                    and epoch + 1 < len(ends)):
-                nbytes = self.journal.checkpoint(epoch + 1)
-                self._note("checkpoint", epoch_end,
-                           f"journal compacted below epoch {epoch + 1}",
-                           bytes=nbytes)
         # -- collect phase -------------------------------------------------
         horizon = ends[-1] if ends else 0.0
         self.epoch = len(ends)
-        self._revive_dead(len(ends), horizon)
+        if journal is not None:
+            self._revive_dead(horizon)
         for shard_index in range(plan.k):
-            self._send(shard_index, ("collect",), horizon, len(ends))
+            self._send(shard_index, ("collect",), horizon)
         partials: List[Dict[str, Any]] = []
         worker_cpu_s: List[float] = []
         snapshots = []
         for shard_index in range(plan.k):
-            reply = self._collect_reply(shard_index, horizon, len(ends))
-            partial, cpu_s, snapshot = reply
+            partial, cpu_s, snapshot = self._reply(shard_index, horizon,
+                                                   ("collect",))
             partials.append(partial)
             worker_cpu_s.append(cpu_s)
             if snapshot is not None:
                 snapshots.append(snapshot)
         for worker in self.workers:
-            if worker is not None:
-                try:
-                    worker.conn.send(("quit",))
-                except (BrokenPipeError, OSError):
-                    pass
+            try:
+                worker.conn.send(("quit",))
+            except (BrokenPipeError, OSError):
+                pass
+        # Workers that got ``quit`` exit on their own; give them time.
+        self.shutdown(join_s=10.0)
         counters, work = self.workload.finalize(_sum_partials(partials))
         stats = _stats(plan, "mp", len(ends), handoffs,
                        [p.get("events_executed", 0) for p in partials],
                        worker_cpu_s)
         stats["barrier_stall_s"] = round(stall_s, 6)
-        stats["supervised"] = True
-        recovery = self.recovery_stats()
-        stats["recovery"] = recovery
+        recovery = None
+        if journal is not None:
+            stats["supervised"] = True
+            recovery = stats["recovery"] = self.recovery_stats()
         if self.obs and snapshots:
             from ..obs.snapshot import merge_snapshots
             merged = merge_snapshots(snapshots)
             merged.add_epochs(epoch_records)
             merged.add_shard_stats(worker_cpu_s, stall_s)
-            merged.add_recovery(
-                recovery,
-                flight_records=list(self.flight.to_records(
-                    shard=plan.k)) if self.flight else (),
-                span_records=list(self.tracer.to_records())
-                if self.tracer else ())
+            if recovery is not None:
+                self._attach_recovery(merged, recovery)
             stats["obs"] = merged
         return counters, work, stats
-
-    def _barrier_reply(self, shard_index: int, epoch_end: float,
-                       batch: List[Any]) -> Any:
-        """One worker's epoch reply, reviving (and re-sending the epoch
-        message) as many times as the budget allows."""
-        while True:
-            try:
-                return self._await(self.workers[shard_index],
-                                   self.config.barrier_deadline_s,
-                                   epoch_end)
-            except RestartBudgetExhausted:
-                raise
-            except ShardWorkerError as exc:
-                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
-                          else "crash")
-                self._revive(shard_index, self.epoch, reason, epoch_end)
-                self._prev_cpu[shard_index] = 0.0
-                self.workers[shard_index].conn.send(
-                    ("epoch", epoch_end, batch))
-
-    def _collect_reply(self, shard_index: int, horizon: float,
-                       epoch_count: int) -> Any:
-        while True:
-            try:
-                return self._await(self.workers[shard_index],
-                                   self.config.barrier_deadline_s, horizon)
-            except RestartBudgetExhausted:
-                raise
-            except ShardWorkerError as exc:
-                reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
-                          else "crash")
-                self._revive(shard_index, epoch_count, reason, horizon)
-                self._prev_cpu[shard_index] = 0.0
-                self.workers[shard_index].conn.send(("collect",))
 
     # -- accounting --------------------------------------------------------
     def recovery_stats(self, degraded: bool = False) -> Dict[str, Any]:
@@ -465,8 +472,6 @@ class ShardSupervisor:
             "crashes": self.crashes,
             "replayed_epochs": self.replayed_epochs,
             "partial_digest_mismatches": self.digest_mismatches,
-            "checkpoints": self.journal.checkpoints_taken,
-            "checkpoint_bytes": self.journal.checkpoint_bytes_total,
             "journal_bytes": self.journal.journal_bytes,
             "backoff_s": round(self.backoff_s, 6),
             "restart_budget": self.config.max_restarts,
@@ -475,31 +480,45 @@ class ShardSupervisor:
             "faults_fired": fired,
         }
 
+    def _attach_recovery(self, merged, recovery: Dict[str, Any]) -> None:
+        """Fold the recovery accounting and the parent-plane flight and
+        span streams into a merged telemetry view."""
+        merged.add_recovery(
+            recovery,
+            flight_records=list(self.flight.to_records(shard=self.plan.k))
+            if self.flight else (),
+            span_records=list(self.tracer.to_records())
+            if self.tracer else ())
+
 
 def run_supervised(workload: ShardWorkload, plan: ShardPlan,
                    obs: bool = False,
                    recovery: Optional[RecoveryConfig] = None
                    ) -> Tuple[Dict[str, Any], Dict[str, int],
                               Dict[str, Any]]:
-    """Execute ``workload`` over ``plan`` with worker supervision.
+    """Execute ``workload`` over ``plan`` on forked workers.
 
-    Counters and work are byte-identical to the fault-free run (and to
-    :func:`~repro.shard.executor.run_single`) even when workers are
-    killed or stalled mid-run — crash recovery replays journaled
-    handoff history into a replacement replica.  When the restart
-    budget is exhausted the run degrades to the inline oracle:
-    deterministic, flagged ``stats["degraded"] = True``, never a crash.
+    Counters and work are byte-identical to
+    :func:`~repro.shard.executor.run_single`.  With ``recovery=None`` a
+    dead or stalled worker raises a typed
+    :class:`~repro.shard.recovery.ShardWorkerError`.  With a
+    :class:`~repro.shard.recovery.RecoveryConfig` they stay identical
+    even when workers are killed or stalled mid-run — crash recovery
+    replays journaled handoff history into a replacement replica — and
+    when the restart budget is exhausted the run degrades to the inline
+    oracle: deterministic, flagged ``stats["degraded"] = True``, never a
+    crash.
     """
-    config = recovery if recovery is not None else RecoveryConfig()
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:
         # No fork on this platform: the inline oracle is always exact.
         counters, work, stats = _run_inline(workload, plan, obs=obs)
-        stats["requested_backend"] = "mp"
-        stats["supervised"] = True
+        if recovery is not None:
+            stats["requested_backend"] = "mp"
+            stats["supervised"] = True
         return counters, work, stats
-    supervisor = ShardSupervisor(workload, plan, obs, config, mp_ctx)
+    supervisor = ShardSupervisor(workload, plan, obs, recovery, mp_ctx)
     try:
         return supervisor.run()
     except RestartBudgetExhausted as exc:
@@ -512,12 +531,7 @@ def run_supervised(workload: ShardWorkload, plan: ShardPlan,
         stats["requested_backend"] = "mp"
         stats["recovery"] = recovery_stats
         if obs and "obs" in stats:
-            stats["obs"].add_recovery(
-                recovery_stats,
-                flight_records=list(supervisor.flight.to_records(
-                    shard=plan.k)) if supervisor.flight else (),
-                span_records=list(supervisor.tracer.to_records())
-                if supervisor.tracer else ())
+            supervisor._attach_recovery(stats["obs"], recovery_stats)
         return counters, work, stats
     finally:
-        supervisor.close()
+        supervisor.shutdown()

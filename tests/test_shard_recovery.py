@@ -9,9 +9,11 @@ out the run must *degrade* (deterministic inline fallback, flagged),
 never crash.
 """
 
+import contextlib
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -19,12 +21,14 @@ import pytest
 from repro.perf.harness import load_results, run_scenario
 from repro.perf.scenarios import SHARD_WORKLOADS
 from repro.resilience import run_campaign
-from repro.shard import (EpochJournal, Fault, FaultPlan, Handoff,
-                         RecoveryConfig, RestartBudgetExhausted,
+from repro.sanitize import taped
+from repro.shard import (DEFAULT_BARRIER_DEADLINE_S, EpochJournal, Fault,
+                         FaultPlan, Handoff, RecoveryConfig,
+                         RestartBudgetExhausted, ShardSupervisor,
                          ShardWorkerCrash, ShardWorkerError,
-                         ShardWorkerTimeout, outbox_digest, run_sharded,
-                         run_single)
-from repro.shard.executor import _recv_deadline
+                         ShardWorkerTimeout, outbox_digest, partition,
+                         run_sharded, run_single)
+from repro.shard.supervisor import _Worker
 
 #: Fast restart ladder for tests — chaos on purpose shouldn't idle.
 FAST = dict(backoff_base_s=0.005, backoff_max_s=0.02)
@@ -115,7 +119,7 @@ class TestDigestIdenticalRecovery:
 
     def test_no_fault_supervised_matches_plain_mp(self):
         """Supervision is pure overhead when nothing fails: same
-        counters as the unsupervised mp backend, zero restarts."""
+        counters as a plain (recovery=None) mp run, zero restarts."""
         cls = SHARD_WORKLOADS["shuttle-storm"]
         plain, _, _ = run_sharded(cls(42, "tiny"), 2, backend="mp")
         supervised, _, stats = run_sharded(
@@ -124,32 +128,18 @@ class TestDigestIdenticalRecovery:
         assert stats["supervised"] is True
         assert stats["recovery"]["worker_restarts"] == 0
 
-    def test_checkpointed_recovery(self):
-        """A tight checkpoint cadence compacts the journal; recovery
-        through a checkpointed prefix is still digest-identical."""
+    def test_deep_replay_recovery(self):
+        """A kill 30 barriers in replays the whole 30-epoch journal
+        prefix straight from its per-epoch entries, digest-identically."""
         cls = SHARD_WORKLOADS["shard-scaling"]
         base_counters, _ = run_single(cls(42, "tiny"))
-        config = _fault_config(Fault("kill", 30, 1), checkpoint_every=4)
+        config = _fault_config(Fault("kill", 30, 1))
         counters, _, stats = run_sharded(cls(42, "tiny"), 2,
                                          backend="mp", recovery=config)
         assert counters == base_counters
         rec = stats["recovery"]
-        assert rec["checkpoints"] > 0
-        assert rec["checkpoint_bytes"] > 0
         assert rec["replayed_epochs"] == 30
-
-    def test_spilled_checkpoints(self, tmp_path):
-        cls = SHARD_WORKLOADS["shard-scaling"]
-        base_counters, _ = run_single(cls(42, "tiny"))
-        config = _fault_config(Fault("kill", 30, 0), checkpoint_every=8,
-                               spill_dir=str(tmp_path))
-        counters, _, stats = run_sharded(cls(42, "tiny"), 2,
-                                         backend="mp", recovery=config)
-        assert counters == base_counters
-        assert stats["recovery"]["checkpoints"] > 0
-        assert stats["recovery"]["checkpoint_bytes"] > 0
-        # The journal unlinks its spill blobs when the run closes.
-        assert sorted(tmp_path.iterdir()) == []
+        assert rec["partial_digest_mismatches"] == 0
 
 
 class TestCommittedBaselineRecovery:
@@ -227,7 +217,7 @@ class TestDegradation:
 class ExplodingWorkload(SHARD_WORKLOADS["shard-scaling"]):
     """A worker that calls ``os._exit`` mid-epoch.
 
-    DANGER: only for the *unsupervised* mp backend.  Under supervision
+    DANGER: only for a plain (recovery=None) mp run.  Under recovery
     the replacement would explode too, exhaust the budget, and the
     inline fallback would then run the workload — and its ``os._exit``
     — in the test process itself.
@@ -260,38 +250,108 @@ class TestTypedBarrierErrors:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
 
-    def test_recv_deadline_timeout_carries_context(self):
+    @staticmethod
+    def _supervised_pipe(target, shard_index, epoch):
+        """A bare worker process on a pipe, owned by a plain (no
+        recovery) supervisor positioned at barrier ``epoch``."""
         ctx = multiprocessing.get_context("fork")
+        workload = SHARD_WORKLOADS["shard-scaling"](42, "tiny")
+        plan = partition(workload.topology(), 2, seed=42)
+        supervisor = ShardSupervisor(workload, plan, False, None, ctx)
+        supervisor.epoch = epoch
         parent, child = ctx.Pipe()
-        proc = ctx.Process(target=time.sleep, args=(30.0,), daemon=True)
+        proc = ctx.Process(target=target, daemon=True)
         proc.start()
         child.close()
+        return supervisor, _Worker(shard_index, proc, parent, 1)
+
+    def test_recv_deadline_timeout_carries_context(self):
+        supervisor, worker = self._supervised_pipe(
+            lambda: time.sleep(30.0), 1, 7)
         try:
             with pytest.raises(ShardWorkerTimeout) as err:
-                _recv_deadline(parent, proc, 1, 7, 3.5, deadline_s=0.2)
+                supervisor._await(worker, 0.2, 3.5)
             assert err.value.shard_index == 1
             assert err.value.epoch == 7
             assert err.value.barrier_time == 3.5
             assert err.value.deadline_s == 0.2
+            # A stalled worker is killed, not left hanging.
+            assert not worker.proc.is_alive()
         finally:
-            proc.kill()
-            proc.join(timeout=10.0)
-            parent.close()
+            supervisor._reap(worker)
 
     def test_recv_deadline_crash_carries_exitcode(self):
-        ctx = multiprocessing.get_context("fork")
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=lambda: os._exit(9), daemon=True)
-        proc.start()
-        child.close()
-        proc.join(timeout=10.0)
+        supervisor, worker = self._supervised_pipe(
+            lambda: os._exit(9), 0, 3)
+        worker.proc.join(timeout=10.0)
         try:
             with pytest.raises(ShardWorkerCrash) as err:
-                _recv_deadline(parent, proc, 0, 3, 1.0, deadline_s=5.0)
+                supervisor._await(worker, 5.0, 1.0)
+            assert err.value.shard_index == 0
             assert err.value.epoch == 3
+            assert err.value.barrier_time == 1.0
+            assert err.value.exitcode == 9
         finally:
-            parent.close()
-            proc.join(timeout=10.0)
+            supervisor._reap(worker)
+
+    def test_shutdown_reaps_a_stopped_worker(self):
+        """SIGTERM stays pending on a SIGSTOPped process; the teardown
+        must escalate to SIGKILL and reap it, not leave it behind."""
+        supervisor, worker = self._supervised_pipe(
+            lambda: time.sleep(30.0), 0, 0)
+        pid = worker.proc.pid
+        os.kill(pid, signal.SIGSTOP)
+        supervisor.workers[0] = worker
+        try:
+            supervisor.shutdown()
+            assert supervisor.workers == [None, None]
+            assert worker.proc not in multiprocessing.active_children()
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            # On failure, do not leave a stopped child for exit to join.
+            with contextlib.suppress(ValueError):   # closed: reaped
+                if worker.proc.is_alive():
+                    worker.proc.kill()
+                    worker.proc.join(timeout=10.0)
+
+    def test_plain_run_waits_with_the_default_deadline(self):
+        workload = SHARD_WORKLOADS["shard-scaling"](42, "tiny")
+        plan = partition(workload.topology(), 2, seed=42)
+        ctx = multiprocessing.get_context("fork")
+        plain = ShardSupervisor(workload, plan, False, None, ctx)
+        assert plain.deadline_s == DEFAULT_BARRIER_DEADLINE_S == 120.0
+        assert plain.journal is None
+        supervised = ShardSupervisor(workload, plan, False,
+                                     RecoveryConfig(), ctx)
+        assert supervised.deadline_s == 30.0
+        assert supervised.journal is not None
+
+
+class TestPlainMpPath:
+    """A plain (``recovery=None``) mp run goes through the same loop as a
+    supervised one, but must not pay for supervision."""
+
+    def test_plain_run_skips_supervision(self):
+        cls = SHARD_WORKLOADS["shuttle-storm"]
+        with taped() as tape:
+            counters, work, stats = run_sharded(cls(42, "tiny"), 2,
+                                                backend="mp")
+        assert not [m for m in tape.merges
+                    if m.label.startswith("outbox[")]
+        assert "supervised" not in stats and "recovery" not in stats
+        assert set(stats) == {
+            "mode", "backend", "k", "requested_k", "shard_sizes",
+            "balance", "edge_cut", "lookahead", "barriers", "handoffs",
+            "shard_events", "imbalance", "worker_cpu_s",
+            "max_worker_cpu_s", "barrier_stall_s"}
+        assert stats["mode"] == "sharded" and stats["backend"] == "mp"
+        assert (counters, work) == run_single(cls(42, "tiny"))
+        # Control: the tape does record them when recovery computes them.
+        with taped() as tape:
+            run_sharded(cls(42, "tiny"), 2, backend="mp",
+                        recovery=RecoveryConfig())
+        assert [m for m in tape.merges if m.label.startswith("outbox[")]
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +370,19 @@ def _handoff(t, src, dst, packet_id):
     return Handoff(t, src, dst, _BenchPacket(packet_id))
 
 
+def _wire(epoch, k=2):
+    """Per-shard injection bytes for one epoch, as the parent sends
+    them."""
+    return [pickle.dumps([_handoff(epoch + 0.5, (0, 0), (0, 1),
+                                   epoch * 10 + i)])
+            for i in range(k)]
+
+
 class TestEpochJournal:
     def _journal(self, epochs=6, k=2):
         journal = EpochJournal(k)
         for epoch in range(epochs):
-            batches = {i: [_handoff(epoch + 0.5, (0, 0), (0, 1),
-                                    epoch * 10 + i)]
-                       for i in range(k)}
-            journal.record_send(epoch, float(epoch + 1), batches)
+            journal.record_send(float(epoch + 1), _wire(epoch, k))
             for i in range(k):
                 journal.record_digest(epoch, i, f"digest-{epoch}-{i}")
         return journal
@@ -331,46 +396,31 @@ class TestEpochJournal:
         batch = pickle.loads(entries[2][1])
         assert batch[0].packet.packet_id == 21
 
-    def test_checkpoint_compacts_and_replays_identically(self):
-        journal = self._journal()
-        before = journal.replay_entries(0, 6)
-        nbytes = journal.checkpoint(4)
-        assert nbytes > 0
-        assert sorted(journal.entries) == [4, 5]
-        assert journal.replay_entries(0, 6) == before
-        assert journal.checkpoints_taken == 1
-
-    def test_second_checkpoint_supersedes_first(self):
-        journal = self._journal()
-        journal.checkpoint(2)
-        journal.checkpoint(4)
-        assert journal.checkpoints_taken == 2
-        assert journal.replay_entries(1, 6) == self._journal() \
-            .replay_entries(1, 6)
-
-    def test_spill_writes_and_discards_files(self, tmp_path):
-        journal = EpochJournal(2, spill_dir=str(tmp_path))
-        for epoch in range(4):
-            journal.record_send(epoch, float(epoch + 1),
-                                {0: [], 1: []})
-        journal.checkpoint(2)
-        assert len(sorted(tmp_path.iterdir())) == 2
-        journal.checkpoint(4)
-        names = [p.name for p in sorted(tmp_path.iterdir())]
-        assert len(names) == 2 and all("e000004" in n for n in names)
-        journal.close()
-        assert sorted(tmp_path.iterdir()) == []
-
-    def test_journal_bytes_shrinks_after_spill(self, tmp_path):
-        inmem = self._journal()
-        spilled = EpochJournal(2, spill_dir=str(tmp_path))
+    def test_replay_entries_are_the_sent_bytes_for_every_upto(self):
+        journal = EpochJournal(2)
+        sent = []
         for epoch in range(6):
-            batches = {i: [_handoff(epoch + 0.5, (0, 0), (0, 1),
-                                    epoch * 10 + i)] for i in range(2)}
-            spilled.record_send(epoch, float(epoch + 1), batches)
-        inmem.checkpoint(6)
-        spilled.checkpoint(6)
-        assert spilled.journal_bytes < inmem.journal_bytes
+            wire = _wire(epoch)
+            sent.append(wire)
+            journal.record_send(float(epoch + 1), wire)
+        for shard in range(2):
+            for upto in range(7):
+                entries = journal.replay_entries(shard, upto)
+                assert len(entries) == upto
+                for epoch, (end, batch, _) in enumerate(entries):
+                    assert end == float(epoch + 1)
+                    # The very bytes handed to record_send, oldest first.
+                    assert batch is sent[epoch][shard]
+
+    def test_journal_bytes_is_sum_of_recorded_batches(self):
+        journal = EpochJournal(2)
+        assert journal.journal_bytes == 0
+        total = 0
+        for epoch in range(5):
+            wire = _wire(epoch) if epoch % 2 else [pickle.dumps([])] * 2
+            total += sum(len(b) for b in wire)
+            journal.record_send(float(epoch + 1), wire)
+            assert journal.journal_bytes == total
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +452,6 @@ class TestRecoveryConfig:
             RecoveryConfig(barrier_deadline_s=0.0)
         with pytest.raises(ValueError):
             RecoveryConfig(max_restarts=-1)
-        with pytest.raises(ValueError):
-            RecoveryConfig(checkpoint_every=-1)
 
     def test_backoff_stream_is_seeded(self):
         config = RecoveryConfig()
@@ -472,7 +520,6 @@ class TestRecoveryObservability:
                    if rec["name"].startswith("repro_shard_")}
         assert "repro_shard_worker_restarts" in samples
         assert "repro_shard_recovery_replay_epochs" in samples
-        assert "repro_shard_checkpoint_bytes" in samples
         assert "repro_shard_recovery_degraded" in samples
 
 
