@@ -211,14 +211,13 @@ class WanderingNetwork:
             ship.tick_roles()
         self.engine.pulse()
         self.overlays.resync()
-        # MFP: per-node workload observations feed the bus each pulse —
-        # one vectorized batch update per pulse instead of N scalar
-        # calls (small fleets fall back to the scalar loop, same
-        # order).
-        self.feedback.observe_batch(
-            Dimension.PER_NODE, "cpu-backlog",
-            [(ship.ship_id, ship.nodeos.cpu.backlog)
-             for ship in self.alive_ships()])
+        # MFP: per-node workload observations feed the bus each pulse,
+        # all read before any controller acts on one.
+        samples = [(ship.ship_id, ship.nodeos.cpu.backlog)
+                   for ship in self.alive_ships()]
+        for node, backlog in samples:
+            self.feedback.observe(Dimension.PER_NODE, node, "cpu-backlog",
+                                  backlog)
 
     def _offload_overloaded_ship(self, node: NodeId, backlog: float,
                                  setpoint: float) -> None:

@@ -24,7 +24,7 @@ from .profiler import KernelProfiler
 from .registry import (DEFAULT_BUCKETS, PER_CONFIGURATION, PER_DATA_LINK,
                        PER_MESSAGE, PER_METHOD, PER_MULTICAST_BRANCH,
                        PER_NODE, PER_PACKET, PER_SESSION, MetricsRegistry)
-from .spans import TRACE_META_KEY, SpanTracer
+from .spans import SpanTracer
 
 
 class Observability:
@@ -264,12 +264,6 @@ class Observability:
     def record_topic(self, topic: str) -> None:
         """Bridge for ``TraceBus.emit`` — counts every emitted topic."""
         self.trace_topics.inc(topic=topic)
-
-    def trace_context_of(self, packet) -> Optional[tuple]:
-        meta = getattr(packet, "meta", None)
-        if meta is None:
-            return None
-        return meta.get(TRACE_META_KEY)
 
     # -- digests ------------------------------------------------------------
     def metrics_digest(self) -> str:

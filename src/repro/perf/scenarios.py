@@ -637,9 +637,8 @@ def scenario_nomadic(seed: int, scale: str) -> Tuple[Dict[str, Any],
     wn.deploy_role(DelegationRole, at=delegate, activate=True)
     user = NomadicUser(sim, wn.ships, route=nodes[1:], delegate=delegate,
                        dwell_time=10.0, task_interval=0.5)
-    # user_id comes from a process-global sequence and leaks into task
-    # flow ids (and from there into recorded facts); pin it so the run
-    # is a pure function of (seed, scale) regardless of what ran before.
+    # user_id names the user's RNG streams and task flow ids (and from
+    # there recorded facts); the committed digests pin it.
     user.user_id = "bench-nomad"
     user.start()
     sim.run(until=p["duration"])

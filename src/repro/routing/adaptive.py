@@ -24,14 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from ..substrates.phys import Datagram
 from ..substrates.sim import Simulator
-
-#: Below this many hello-vector rows the vectorized cost screen costs
-#: more than the scalar loop it replaces.
-_HELLO_BATCH_MIN = 16
 
 NodeId = Hashable
 
@@ -187,11 +181,7 @@ class WLIAdaptiveRouter:
             self.ship.fabric.send(self.ship.ship_id, neighbor, hello)
 
     def _on_hello(self, ship, packet, from_node) -> None:
-        vector = packet.payload["vector"]
-        if len(vector) >= _HELLO_BATCH_MIN:
-            self._apply_hello_batch(ship, vector, from_node)
-            return
-        for dst, cost in vector.items():
+        for dst, cost in packet.payload["vector"].items():
             if dst == ship.ship_id:
                 continue
             new_cost = cost + 1.0
@@ -202,33 +192,6 @@ class WLIAdaptiveRouter:
                     del self.routes[dst]
                 continue
             self.learn_route(dst, from_node, new_cost)
-
-    def _apply_hello_batch(self, ship, vector: Dict[NodeId, float],
-                           from_node: NodeId) -> None:
-        """Vectorized hello-vector screen (vectors of at least
-        ``_HELLO_BATCH_MIN`` entries): the ``cost + 1.0`` increments and
-        the poisoned-route comparisons are one float64 array pass — both
-        IEEE-exact, so branch decisions and learned costs are
-        bit-identical to the scalar loop — and the stateful
-        ``learn_route`` updates then run in vector order as before."""
-        dsts = list(vector)
-        n = len(dsts)
-        costs = np.fromiter((vector[dst] for dst in dsts),
-                            dtype=np.float64, count=n)
-        costs += 1.0
-        poisoned = (costs >= self.INFINITY).tolist()
-        new_costs = costs.tolist()
-        me = ship.ship_id
-        routes = self.routes
-        for i, dst in enumerate(dsts):
-            if dst == me:
-                continue
-            if poisoned[i]:
-                current = routes.get(dst)
-                if current is not None and current.next_hop == from_node:
-                    del routes[dst]
-                continue
-            self.learn_route(dst, from_node, new_costs[i])
 
     # -- reactive half ------------------------------------------------------
     def _start_discovery(self, dst: NodeId) -> None:

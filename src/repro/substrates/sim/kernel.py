@@ -70,6 +70,7 @@ class Simulator:
         #: loop free of the ring-buffer append.
         self._flight = None
         self.obs = Observability(self)
+        self._id_counts: Dict[str, int] = {}
 
     # -- time -------------------------------------------------------------
     @property
@@ -138,6 +139,16 @@ class Simulator:
         """
         return PeriodicTask(self, interval, fn, args, start=start,
                             jitter=jitter, stream=stream)
+
+    def next_id(self, kind: str) -> int:
+        """The next number (1, 2, ...) in this simulator's ``kind`` sequence.
+
+        Default ids that name RNG streams come from here, so a run draws
+        the same numbers whatever else the process simulated before it.
+        """
+        n = self._id_counts.get(kind, 0) + 1
+        self._id_counts[kind] = n
+        return n
 
     # -- execution --------------------------------------------------------
     def peek(self) -> float:

@@ -9,7 +9,6 @@ backbone").
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Hashable, List, Optional
 
 from ..substrates.phys import Datagram
@@ -17,8 +16,6 @@ from ..substrates.sim import Simulator
 from .adapter import inject
 
 NodeId = Hashable
-
-_stream_seq = itertools.count(1)
 
 
 class MediaStreamSource:
@@ -42,7 +39,7 @@ class MediaStreamSource:
         self.encoding = encoding
         self.quality_spread = float(quality_spread)
         self.group = group
-        self.stream_id = stream_id or f"stream-{next(_stream_seq)}"
+        self.stream_id = stream_id or f"stream-{sim.next_id('stream')}"
         self.sent = 0
         self._task = None
 
@@ -95,7 +92,7 @@ class SensorField:
         self.sink = sink
         self.interval = float(interval)
         self.reading_bytes = int(reading_bytes)
-        self.field_id = field_id or f"field-{next(_stream_seq)}"
+        self.field_id = field_id or f"field-{sim.next_id('field')}"
         self.readings_sent = 0
         self._tasks: List = []
 
@@ -149,7 +146,7 @@ class OnOffSource:
         self.packet_bytes = int(packet_bytes)
         self.mean_on = float(mean_on)
         self.mean_off = float(mean_off)
-        self.stream_id = stream_id or f"onoff-{next(_stream_seq)}"
+        self.stream_id = stream_id or f"onoff-{sim.next_id('onoff')}"
         self.sent = 0
         self.bursts = 0
         self._on = False

@@ -14,7 +14,6 @@ Table 1 benchmark.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Hashable, List
 
 from ..substrates.phys import Datagram
@@ -22,8 +21,6 @@ from ..substrates.sim import Simulator
 from .adapter import inject
 
 NodeId = Hashable
-
-_session_seq = itertools.count(1)
 
 
 class MulticastSession:
@@ -46,7 +43,7 @@ class MulticastSession:
         self.rate_pps = float(rate_pps)
         self.packet_bytes = int(packet_bytes)
         self.mode = mode
-        self.group = f"group-{next(_session_seq)}"
+        self.group = f"group-{sim.next_id('group')}"
         self.packets_sent = 0
         self.deliveries = 0
         self._task = None

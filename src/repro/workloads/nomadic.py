@@ -9,7 +9,6 @@ toward the user, cutting task round-trip latency.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Hashable, List, Tuple
 
 from ..substrates.phys import Datagram
@@ -17,11 +16,6 @@ from ..substrates.sim import Simulator
 from .adapter import inject
 
 NodeId = Hashable
-
-# fork-inherited id sequence: every shard replays the same
-# construction order, so per-process copies advance identically
-# (see shard/recovery.py)  # via: ignore[VIA013]
-_user_seq = itertools.count(1)
 
 
 class NomadicUser:
@@ -43,7 +37,7 @@ class NomadicUser:
         self.dwell_time = float(dwell_time)
         self.task_interval = float(task_interval)
         self.task_ops = float(task_ops)
-        self.user_id = f"user-{next(_user_seq)}"
+        self.user_id = f"user-{sim.next_id('user')}"
         self._position = 0
         self.tasks_sent = 0
         self.results: List[Tuple[float, float]] = []  # (sent time, latency)

@@ -408,6 +408,48 @@ class TestOverloadOffload:
         assert role == TranscodingRole.role_id
         assert wn.ships[to].has_role(TranscodingRole.role_id)
 
+    def test_pulse_feeds_cpu_backlog_per_ship(self):
+        """Each pulse observes every alive ship's CPU backlog once: the
+        levels are the plain EWMA of those samples and the controller
+        fires as a scalar ``observe`` sequence makes it fire."""
+        from repro.core import (Dimension, FeedbackBus, FeedbackController,
+                                WanderingNetworkConfig)
+        from repro.substrates.phys import grid_topology
+        wn = WanderingNetwork(
+            grid_topology(3, 3),
+            WanderingNetworkConfig(seed=5, pulse_interval=1e9,
+                                   publish_interval=1e9,
+                                   overload_offload=True,
+                                   cpu_backlog_setpoint=1.0))
+        nodes = sorted(wn.ships, key=repr)
+        assert len(nodes) >= 8
+        rounds = [[(i * 0.37 + r * 0.9) % 2.5 for i in range(len(nodes))]
+                  for r in range(6)]
+        reference = FeedbackBus(Simulator(), alpha=wn.feedback.alpha)
+        reference_ctrl = reference.attach(FeedbackController(
+            Dimension.PER_NODE, "cpu-backlog", setpoint=1.0))
+        alpha = wn.feedback.alpha
+        expected = {}
+        for backlogs in rounds:
+            for node, backlog in zip(nodes, backlogs):
+                wn.ship(node).nodeos.cpu._free_at = wn.sim.now + backlog
+            wn._on_pulse()
+            for node, backlog in zip(nodes, backlogs):
+                prev = expected.get(node)
+                expected[node] = backlog if prev is None else \
+                    alpha * backlog + (1.0 - alpha) * prev
+                reference.observe(Dimension.PER_NODE, node, "cpu-backlog",
+                                  backlog)
+        for node in nodes:
+            assert wn.feedback.level(Dimension.PER_NODE, node,
+                                     "cpu-backlog") == expected[node]
+        [ctrl] = [c for c in wn.feedback.controllers()
+                  if c.metric == "cpu-backlog"]
+        assert ctrl.high_firings == reference_ctrl.high_firings > 0
+        assert ctrl.low_firings == reference_ctrl.low_firings > 0
+        assert [ctrl.state(n) for n in nodes] == \
+            [reference_ctrl.state(n) for n in nodes]
+
     def test_offload_disabled_by_default(self):
         from repro.core import WanderingNetworkConfig
         from repro.substrates.phys import line_topology

@@ -91,6 +91,31 @@ class TestKnowledgeBase:
         assert [f.value for f in dead] == ["old"]
         assert len(kb) == 1
 
+        # A large store whose thresholds sit within a few ulp of the
+        # decayed weights: exactly the facts Fact.alive rejects are
+        # evicted, in store order.
+        kb = KnowledgeBase()
+        now = 100.0
+        facts = []
+        for i in range(96):
+            weight = 0.5 + i / 64
+            created = float(i % 5 * 10)
+            threshold = weight * math.exp(-DEFAULT_DECAY_RATE
+                                          * (now - created))
+            for _ in range(abs(i % 7 - 3)):
+                threshold = math.nextafter(
+                    threshold, math.inf if i % 7 > 3 else 0.0)
+            if i % 11 == 0:
+                threshold = 2.0 * MAX_WEIGHT
+            facts.append(kb.record(Fact(f"c{i % 4}", i, created_at=created,
+                                        weight=weight, threshold=threshold),
+                                   now=created))
+        expected = [f for f in facts if not f.alive(now)]
+        assert [f.value for f in expected] == \
+            [i for i in range(96) if i % 7 > 3 or i % 11 == 0]
+        assert kb.sweep(now) == expected
+        assert len(kb) == len(facts) - len(expected)
+
     def test_class_weight_sums_members(self):
         kb = KnowledgeBase()
         kb.record(Fact("c", 1, created_at=0.0, weight=1.0), now=0.0)

@@ -256,6 +256,34 @@ class TestAdaptiveRouterEdgeCases:
         router._on_hello(ship, poison, 1)
         assert "x" not in router.routes
 
+        # A 20-entry vector from neighbour 2 to node 1: the receiver's
+        # own id is skipped, a poisoned entry (cost + 1 >= INFINITY)
+        # drops only a route through the sender, everything else is
+        # learned by the usual rules.
+        sim = Simulator(seed=64)
+        topo = line_topology(3)
+        fabric = NetworkFabric(sim, topo)
+        router = WLIAdaptiveRouter(sim, proactive=False)
+        ship = Ship(sim, fabric, 1, router=router,
+                    authority=CredentialAuthority())
+        inf = WLIAdaptiveRouter.INFINITY
+        router.learn_route("x", 2, 3.0)     # via the sender: poisoned
+        router.learn_route("z", 2, 3.0)     # via the sender: poisoned
+        router.learn_route("y", 0, 3.0)     # via another hop: kept
+        router.learn_route("b", 0, 5.0)     # worse than the offer
+        router.learn_route("c", 0, 1.0)     # better than the offer
+        vector = {1: 0.0, "x": inf, "y": inf, "z": inf - 1.0,
+                  "w": inf - 2.0, "b": 1.0, "c": 3.0}
+        vector.update((f"d{i}", float(i)) for i in range(13))
+        assert len(vector) >= 16
+        router._on_hello(ship, Datagram(2, 1, payload={
+            "kind": "route-adv", "vector": vector, "origin": 2}), 2)
+        expected = {"y": (0, 3.0), "c": (0, 1.0), "b": (2, 2.0),
+                    "w": (2, inf - 1.0)}
+        expected.update((f"d{i}", (2, i + 1.0)) for i in range(13))
+        assert {dst: (r.next_hop, r.cost)
+                for dst, r in router.routes.items()} == expected
+
 
 class TestSweepResult:
     def make(self):

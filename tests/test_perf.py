@@ -697,7 +697,7 @@ class TestCommittedBaseline:
         for entry in entries:
             assert entry["seed"] == 42
             assert entry["scale"] == "short"
-            assert not any(entry["switches"].values())  # opts-off anchor
+            assert "switches" not in entry
             assert len(entry["digest"]) == 16
 
     def test_current_tree_reproduces_baseline_digests(self):
@@ -715,13 +715,20 @@ class TestCommittedBaseline:
             assert fresh.digest == entry["digest"]
 
     def test_version_2_baseline_passes_compare(self, baseline_runs):
-        """The committed file predates BENCH version 4 (it still carries
-        ``switches``); it must load and gate a fresh run.  Throughput
-        gets a loose budget here: host speed is not under test, the
-        digests are."""
+        """The committed file is BENCH version 4 and gates a fresh run;
+        a version-2 baseline (with its ``switches`` block) still gates
+        the same run.  Throughput gets a loose budget here: host speed
+        is not under test, the digests are."""
         entries, fresh = baseline_runs
-        assert {entry["version"] for entry in entries} == {2}
+        assert {entry["version"] for entry in entries} == {4}
         current = [fresh[entry["scenario"]].to_dict() for entry in entries]
-        ok, lines = compare(current, entries, fail_over_pct=95.0)
-        assert ok, lines
-        assert not any("MISMATCH" in line for line in lines)
+        switches = {"admission_memo": False, "cow_clone": False,
+                    "digest_cache": False, "kernel_fast_loop": False}
+        version_2 = [{key: value for key, value in entry.items()
+                      if key != "agenda_stats"}
+                     | {"version": 2, "switches": switches}
+                     for entry in entries]
+        for baseline in (entries, version_2):
+            ok, lines = compare(current, baseline, fail_over_pct=95.0)
+            assert ok, lines
+            assert not any("MISMATCH" in line for line in lines)

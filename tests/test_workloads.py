@@ -260,3 +260,47 @@ class TestContentWorkloadFeedback:
                                  "latency") > 0
         assert wn.feedback.level(Dimension.PER_APPLICATION, "web",
                                  "latency") > 0
+
+
+class TestDefaultIdsPerSimulator:
+    """Default workload ids (and the RNG streams named after them) are
+    numbered per simulator, so a run does not depend on how many
+    workloads the process built before it."""
+
+    @staticmethod
+    def _build_all(sim, ships):
+        from repro.workloads import OnOffSource
+        return [
+            MediaStreamSource(sim, ships, 0, 2).stream_id,
+            SensorField(sim, ships, [0, 1], 2).field_id,
+            OnOffSource(sim, ships, 0, 2).stream_id,
+            MulticastSession(sim, ships, 0, 1, [2]).group,
+            NomadicUser(sim, ships, route=[0], delegate=2).user_id,
+        ]
+
+    def test_default_ids_restart_per_simulator(self):
+        runs = []
+        for _ in range(2):
+            sim, _, ships = ship_net(line_topology(3))
+            runs.append(self._build_all(sim, ships))
+        assert runs[0] == runs[1]
+        assert MediaStreamSource(sim, ships, 0, 2).stream_id != \
+            MediaStreamSource(sim, ships, 0, 2).stream_id
+        assert MediaStreamSource(sim, ships, 0, 2,
+                                 stream_id="pinned").stream_id == "pinned"
+
+    def test_back_to_back_runs_in_one_process_agree(self):
+        from repro.core import WanderingNetwork, WanderingNetworkConfig
+        from repro.substrates.phys import grid_topology
+
+        def run():
+            wn = WanderingNetwork(grid_topology(3, 3),
+                                  WanderingNetworkConfig(seed=3,
+                                                         pulse_interval=5.0))
+            nodes = sorted(wn.ships, key=repr)
+            MediaStreamSource(wn.sim, wn.ships, nodes[0], nodes[-1],
+                              rate_pps=8.0).start()
+            wn.run(until=60.0)
+            return wn.sim.events_executed, wn.feedback.snapshot()
+
+        assert run() == run()
