@@ -41,7 +41,8 @@ bench-smoke:
 	@echo "bench-smoke: digests match baseline, throughput in budget"
 
 # Sharded-execution gate: run every shardable scenario partitioned
-# across 2 worker processes and require byte-identical digests against
+# across 2 shards, once on forked worker processes (mp) and once on the
+# in-process pool (inline), and require byte-identical digests against
 # the committed single-shard baseline (digests never include
 # workers/backend, so the same anchor gates both).  Throughput is not
 # the point here — CI runners may be single-core — so the regression
@@ -52,7 +53,12 @@ bench-parallel:
 		--workers 2 --backend mp --seed 42 --scale short \
 		--out /tmp/bench-parallel \
 		--compare BENCH_baseline.json --fail-over 90
-	@echo "bench-parallel: 2-shard digests byte-identical to the single-shard baseline"
+	PYTHONPATH=src $(PYTHON) -m repro bench \
+		shuttle-storm jet-flood shard-scaling \
+		--workers 2 --backend inline --seed 42 --scale short \
+		--out /tmp/bench-parallel-inline \
+		--compare BENCH_baseline.json --fail-over 90
+	@echo "bench-parallel: 2-shard digests (mp and inline) byte-identical to the single-shard baseline"
 
 # Regenerate the committed baseline.
 bench-baseline:

@@ -169,6 +169,13 @@ class _GridShardWorkload(ShardWorkload):
             return list(wn.ships.values())
         return [wn.ships[node] for node in owned]
 
+    def finalize(self, totals: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """Counters are the summed partials plus the final clock."""
+        return (dict(totals, final_time=round(self.horizon(), 9)),
+                {"events": totals["events_executed"],
+                 "shuttles": totals["processed"]})
+
 
 class ShuttleStormWorkload(_GridShardWorkload):
     """A storm of role shuttles cloned from a few templates.
@@ -245,19 +252,6 @@ class ShuttleStormWorkload(_GridShardWorkload):
             "events_executed": ctx["sim"].events_executed,
         }
 
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "sent": totals["sent"],
-            "processed": totals["processed"],
-            "rejected": totals["rejected"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
-
 
 def scenario_shuttle_storm(seed: int, scale: str) -> Tuple[Dict[str, Any],
                                                            Dict[str, Any]]:
@@ -328,19 +322,6 @@ class JetFloodWorkload(_GridShardWorkload):
             "processed": sum(s.shuttles_processed for s in ships),
             "events_executed": ctx["sim"].events_executed,
         }
-
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "launched": totals["launched"],
-            "replicated": totals["replicated"],
-            "processed": totals["processed"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
 
 
 def scenario_jet_flood(seed: int, scale: str) -> Tuple[Dict[str, Any],
@@ -431,20 +412,6 @@ class ShardScalingWorkload(_GridShardWorkload):
             "facts": sum(len(s.knowledge) for s in ships),
             "events_executed": ctx["sim"].events_executed,
         }
-
-    def finalize(self, totals: Dict[str, Any]
-                 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-        counters = {
-            "sent": totals["sent"],
-            "processed": totals["processed"],
-            "rejected": totals["rejected"],
-            "facts": totals["facts"],
-            "events_executed": totals["events_executed"],
-            "final_time": round(self.horizon(), 9),
-        }
-        work = {"events": totals["events_executed"],
-                "shuttles": totals["processed"]}
-        return counters, work
 
 
 def scenario_shard_scaling(seed: int, scale: str) -> Tuple[Dict[str, Any],

@@ -3,12 +3,14 @@
 Partition the Wandering Network across workers with digest-identical
 results: a deterministic topology partitioner (:func:`partition`), a
 boundary-aware fabric (:class:`ShardFabric`), and a conservative
-epoch-synchronized executor (:func:`run_sharded`) with ``inline`` and
-``mp`` backends.  The ``mp`` backend runs one parent barrier loop
-(:class:`ShardSupervisor`): worker death or stall always raises a typed
-error, and with a :class:`RecoveryConfig` the shard is instead
-respawned and replayed from an append-only epoch journal, and the final
-digest stays byte-identical to the fault-free run.  See
+epoch-synchronized executor (:func:`run_sharded`).  One barrier loop
+drives both backends: ``inline`` steps the shard replicas in-process,
+``mp`` (:class:`ShardSupervisor`) on forked workers, and both must
+reproduce :func:`run_single`, the digest reference.  An mp worker's
+death or stall always raises a typed error, and with a
+:class:`RecoveryConfig` the shard is instead respawned and replayed
+from an append-only epoch journal, and the final digest stays
+byte-identical to the fault-free run.  See
 ``docs/PERFORMANCE.md`` ("Sharded execution") and
 ``docs/RESILIENCE.md`` ("Fault-tolerant sharding").
 """

@@ -1,19 +1,23 @@
 """The conservative epoch-synchronized shard executor.
 
-Two backends behind one API:
+One barrier loop (:func:`barrier_loop`) drives both backends.  Each
+shard is a :class:`_Replica`; a backend is only a *pool* that steps its
+K replicas through one epoch and collects them at the horizon:
 
 ``inline``
-    Round-robin over the K shard replicas in one process — the
-    always-available determinism oracle.  Handoff batches take the
-    same pickle round-trip the multiprocessing transport uses, so the
-    two backends exercise byte-identical semantics.
+    :class:`_InlinePool` steps the K replicas round-robin in this
+    process — the always-available backend, and the fallback when the
+    host cannot fork.  Each replica unpickles the very bytes the mp
+    pipes would carry, so both backends exercise identical handoff
+    semantics.
 ``mp``
-    One forked worker per shard, handoff batches exchanged over pipes
-    and run by the one parent-side barrier loop in
-    :mod:`repro.shard.supervisor` (which, given a
-    :class:`~repro.shard.recovery.RecoveryConfig`, also recovers dead
-    or stalled workers).  Real multi-core speedup; every digest must
-    equal the inline (and the single-shard) run.
+    :class:`~repro.shard.supervisor.ShardSupervisor` runs one forked
+    worker per shard, each serving one replica over a pipe (and, given
+    a :class:`~repro.shard.recovery.RecoveryConfig`, revives dead or
+    stalled workers).  Real multi-core speedup.
+
+:func:`run_single` is the digest reference: every backend, at every K,
+must reproduce its counters byte for byte.
 
 Epoch protocol
 --------------
@@ -36,6 +40,7 @@ invariant by construction.
 from __future__ import annotations
 
 import pickle
+import time
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .fabric import Handoff, ShardFabric
@@ -119,21 +124,71 @@ def run_single(workload: ShardWorkload
     return workload.finalize(totals)
 
 
-def _arm_obs(ctx: Dict[str, Any], shard_index: int):
-    """Enable one replica's observability *after* construction.
+class _Replica:
+    """One shard's world, stepped epoch by epoch: an inline shard, an
+    mp worker's state, or the single-shard obs run.
 
-    Every shard builds the full network, so construction-time
-    emissions would be counted K times if collection started earlier —
-    arming post-build is what makes the merged counter sums
-    K-invariant.  The tracer is rebased onto the shard's disjoint id
-    range so merged spans (and the trace contexts crossing handoff
-    boundaries inside ``packet.meta``) stay globally unambiguous.
+    Observability is armed *after* construction: every shard builds the
+    full network, so construction-time emissions would be counted K
+    times if collection started earlier — arming post-build is what
+    makes the merged counter sums K-invariant.  The tracer is rebased
+    onto the shard's disjoint id range so merged spans (and the trace
+    contexts crossing handoff boundaries inside ``packet.meta``) stay
+    globally unambiguous.
     """
-    from ..obs.snapshot import SHARD_ID_STRIDE
-    obs = ctx["sim"].obs.enable()
-    obs.shard = shard_index
-    obs.tracer.rebase_ids(shard_index * SHARD_ID_STRIDE)
-    return obs
+
+    __slots__ = ("workload", "owned", "shard_index", "obs", "ctx", "sim",
+                 "fabric", "barriers", "cpu_s")
+
+    def __init__(self, workload: ShardWorkload,
+                 owned: Optional[FrozenSet[NodeId]], shard_index: int,
+                 obs: bool):
+        self.workload = workload
+        self.owned = owned
+        self.shard_index = shard_index
+        self.obs = obs
+        self.ctx = workload.build(owned=owned)
+        self.sim, self.fabric = self.ctx["sim"], self.ctx["fabric"]
+        if obs:
+            from ..obs.snapshot import SHARD_ID_STRIDE
+            armed = self.sim.obs.enable()
+            armed.shard = shard_index
+            armed.tracer.rebase_ids(shard_index * SHARD_ID_STRIDE)
+        workload.setup(self.ctx, owned=owned)
+        self.barriers = 0
+        self.cpu_s = 0.0
+
+    def step(self, epoch_end: float, batch_bytes: bytes
+             ) -> Tuple[List[Handoff], int, float]:
+        """Inject one pickled batch, run to ``epoch_end`` and note the
+        barrier.  Returns the barrier reply ``(outbox, events_executed,
+        cpu_s)``, ``cpu_s`` being this step's process CPU."""
+        t0 = time.process_time()  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
+        sim = self.sim
+        self.fabric.inject(pickle.loads(batch_bytes))
+        sim.run(until=epoch_end)
+        if sim.obs.on:
+            sim.obs.shard_barriers.inc()
+            if sim._flight is not None:
+                sim._flight.note("barrier", epoch_end,
+                                 f"epoch#{self.barriers}")
+        self.barriers += 1
+        outbox = self.fabric.drain_outbox()
+        cpu_s = time.process_time() - t0  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
+        self.cpu_s += cpu_s
+        return outbox, sim.events_executed, cpu_s
+
+    def collect(self) -> Tuple[Dict[str, Any], float, Any]:
+        """``(partial, cpu_s, snapshot)``: the workload's summable
+        partial, the CPU spent in :meth:`step` and, with obs on, the
+        replica's :class:`~repro.obs.snapshot.ObsSnapshot`."""
+        snapshot = None
+        if self.obs:
+            from ..obs.snapshot import ObsSnapshot
+            snapshot = ObsSnapshot.capture(self.sim.obs,
+                                           shard=self.shard_index)
+        return (self.workload.collect(self.ctx, self.owned), self.cpu_s,
+                snapshot)
 
 
 def run_sharded(workload: ShardWorkload, workers: int,
@@ -175,25 +230,22 @@ def run_sharded(workload: ShardWorkload, workers: int,
         if not obs:
             counters, work = run_single(workload)
             return counters, work, stats
-        from ..obs.snapshot import ObsSnapshot, merge_snapshots
-        ctx = workload.build(owned=None)
-        _arm_obs(ctx, 0)
-        workload.setup(ctx, owned=None)
-        ctx["sim"].run(until=workload.horizon())
-        totals = workload.collect(ctx, owned=None)
-        counters, work = workload.finalize(totals)
-        merged = merge_snapshots([ObsSnapshot.capture(ctx["sim"].obs,
-                                                      shard=0)])
-        stats["obs"] = merged
+        from ..obs.snapshot import merge_snapshots
+        replica = _Replica(workload, None, 0, obs=True)
+        replica.sim.run(until=workload.horizon())
+        partial, _, snapshot = replica.collect()
+        counters, work = workload.finalize(partial)
+        stats["obs"] = merge_snapshots([snapshot])
         return counters, work, stats
     if backend == "mp":
         from .supervisor import run_supervised
         return run_supervised(workload, plan, obs=obs, recovery=recovery)
-    return _run_inline(workload, plan, obs=obs)
+    return barrier_loop(workload, plan, _InlinePool(workload, plan, obs),
+                        obs)
 
 
 # ----------------------------------------------------------------------
-# the canonical barrier merge
+# the barrier loop, shared by both backends
 # ----------------------------------------------------------------------
 
 def _epoch_ends(horizon: float, lookahead: float) -> List[float]:
@@ -241,135 +293,132 @@ def _sum_partials(partials: List[Dict[str, Any]]) -> Dict[str, Any]:
     return totals
 
 
-# ----------------------------------------------------------------------
-# inline backend (the determinism oracle)
-# ----------------------------------------------------------------------
+def barrier_loop(workload: ShardWorkload, plan: ShardPlan, pool,
+                 obs: bool
+                 ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
+    """Run the epoch protocol over ``pool``'s K replicas.
 
-def _run_inline(workload: ShardWorkload, plan: ShardPlan, obs: bool = False
-                ) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-    import time
-    shards = []
-    for shard_index in range(plan.k):
-        owned = frozenset(plan.shards[shard_index])
-        ctx = workload.build(owned=owned)
-        if obs:
-            _arm_obs(ctx, shard_index)
-        workload.setup(ctx, owned=owned)
-        shards.append((owned, ctx))
+    A pool is a backend: ``start(epochs)`` readies its replicas,
+    ``exchange(epoch, epoch_end, wire)`` steps every replica through one
+    epoch — replica ``i`` injecting the pickled batch ``wire[i]`` — and
+    returns ``(replies, stall_s)``, and ``collect(horizon)`` returns
+    every replica's ``(partial, cpu_s, snapshot)``.  Everything else —
+    the barrier schedule, the canonical merge, handoff accounting, the
+    epoch timeline, finalize and the obs merge — lives here, once.
+
+    The final epoch's routed batch is counted but never injected: no
+    epoch follows to run it.
+    """
+    ends = _epoch_ends(workload.horizon(), plan.lookahead)
+    pool.start(len(ends))
     handoffs = 0
-    barriers = 0
-    worker_cpu_s = [0.0] * plan.k
+    stall_s = 0.0
     epoch_records: List[Dict[str, Any]] = []
     prev_events = [0] * plan.k
     epoch_start = 0.0
-    for epoch_end in _epoch_ends(workload.horizon(), plan.lookahead):
-        epoch_cpu = [0.0] * plan.k
-        for shard_index, (_, ctx) in enumerate(shards):
-            t0 = time.perf_counter()  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
-            ctx["sim"].run(until=epoch_end)
-            epoch_cpu[shard_index] = time.perf_counter() - t0  # via: ignore[VIA003] per-shard cost accounting; never digest-visible
-            worker_cpu_s[shard_index] += epoch_cpu[shard_index]
-            sim = ctx["sim"]
-            if sim.obs.on:
-                sim.obs.shard_barriers.inc()
-                if sim._flight is not None:
-                    sim._flight.note("barrier", epoch_end,
-                                     f"epoch#{barriers}")
-        batches = _route(plan, [ctx["fabric"].drain_outbox()
-                                for _, ctx in shards])
-        epoch_handoffs = 0
-        for dest, batch in sorted(batches.items()):
-            # The same wire format the mp transport uses, so inline is
-            # an exact oracle for pickled handoff semantics.
-            payload = pickle.loads(pickle.dumps(batch))
-            shards[dest][1]["fabric"].inject(payload)
-            epoch_handoffs += len(batch)
+    batches: Dict[int, List[Handoff]] = {}
+    for epoch, epoch_end in enumerate(ends):
+        # One wire format: each batch is pickled once, and the same
+        # bytes reach the replica (and, under recovery, the journal).
+        wire = [pickle.dumps(batches.get(i, [])) for i in range(plan.k)]
+        replies, epoch_stall = pool.exchange(epoch, epoch_end, wire)
+        stall_s += epoch_stall
+        batches = _route(plan, [reply[0] for reply in replies])
+        epoch_handoffs = sum(len(b) for b in batches.values())
         handoffs += epoch_handoffs
         if obs:
             from ..obs.timeline import make_epoch_record
-            events = [ctx["sim"].events_executed for _, ctx in shards]
+            events = [reply[1] for reply in replies]
             epoch_records.append(make_epoch_record(
-                barriers, epoch_start, epoch_end, epoch_handoffs,
-                [e - p for e, p in zip(events, prev_events)], epoch_cpu))
+                epoch, epoch_start, epoch_end, epoch_handoffs,
+                [e - p for e, p in zip(events, prev_events)],
+                [reply[2] for reply in replies], epoch_stall))
             prev_events = events
-        barriers += 1
         epoch_start = epoch_end
-    partials = [workload.collect(ctx, owned) for owned, ctx in shards]
+    results = pool.collect(ends[-1] if ends else 0.0)
+    partials = [result[0] for result in results]
+    worker_cpu_s = [result[1] for result in results]
     counters, work = workload.finalize(_sum_partials(partials))
-    stats = _stats(plan, "inline", barriers, handoffs,
+    stats = _stats(plan, pool.backend, len(ends), handoffs,
                    [p.get("events_executed", 0) for p in partials],
-                   worker_cpu_s)
+                   worker_cpu_s, stall_s)
     if obs:
-        from ..obs.snapshot import ObsSnapshot, merge_snapshots
-        merged = merge_snapshots(
-            [ObsSnapshot.capture(ctx["sim"].obs, shard=i)
-             for i, (_, ctx) in enumerate(shards)])
+        from ..obs.snapshot import merge_snapshots
+        merged = merge_snapshots([result[2] for result in results])
         merged.add_epochs(epoch_records)
-        merged.add_shard_stats(worker_cpu_s, 0.0)
+        merged.add_shard_stats(worker_cpu_s, stall_s)
         stats["obs"] = merged
     return counters, work, stats
 
 
+class _InlinePool:
+    """The inline backend: K replicas in this process, stepped
+    round-robin on the same pickled batches the mp pipes carry.  It
+    never waits on a concurrent worker, so its barrier stall is 0."""
+
+    backend = "inline"
+
+    def __init__(self, workload: ShardWorkload, plan: ShardPlan,
+                 obs: bool):
+        self.workload = workload
+        self.plan = plan
+        self.obs = obs
+        self.replicas: List[_Replica] = []
+
+    def start(self, epochs: int) -> None:
+        self.replicas = [
+            _Replica(self.workload, frozenset(self.plan.shards[i]), i,
+                     self.obs)
+            for i in range(self.plan.k)]
+
+    def exchange(self, epoch: int, epoch_end: float, wire: List[bytes]
+                 ) -> Tuple[List[Any], float]:
+        return ([replica.step(epoch_end, batch)
+                 for replica, batch in zip(self.replicas, wire)], 0.0)
+
+    def collect(self, horizon: float) -> List[Any]:
+        return [replica.collect() for replica in self.replicas]
+
+
 # ----------------------------------------------------------------------
-# mp worker (forked, piped handoffs; the parent loop is the supervisor)
+# mp worker (forked, piped handoffs; its pool is the supervisor)
 # ----------------------------------------------------------------------
 
 def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                  shard_index: int, obs: bool = False) -> None:
-    """One shard in its own process: build, then serve the barrier
-    protocol.  With ``obs`` on, the collect reply carries the worker's
-    full :class:`~repro.obs.snapshot.ObsSnapshot` back over the pipe.
+    """One shard's :class:`_Replica` in its own process, serving the
+    barrier protocol over ``conn``.
 
-    ``("epoch", epoch_end, batch_bytes)`` injects the pickled batch,
-    runs to the epoch end and replies with the outbox (plus the running
-    event/CPU counters the epoch timeline needs).
+    ``("epoch", epoch_end, batch_bytes)`` is one :meth:`_Replica.step`;
+    the reply is the step's ``(outbox, events_executed, cpu_s)``.
 
-    ``("replay", entries, verify)`` (sent by the supervisor to a freshly
-    forked replacement, see :mod:`repro.shard.supervisor`) fast-forwards
-    this replica through the journaled epoch history by the same step,
-    and *discards* each outbox — the original worker already shipped
-    those handoffs before it died.  With ``verify`` on the discarded
-    outboxes are fingerprinted against the journaled partial digests, so
-    a replay that diverged is detected at the worker, not at the final
-    digest."""
-    import time
-    workload = pickle.loads(workload_bytes)
-    owned = frozenset(plan.shards[shard_index])
-    ctx = workload.build(owned=owned)
-    if obs:
-        _arm_obs(ctx, shard_index)
-    workload.setup(ctx, owned=owned)
-    sim, fabric = ctx["sim"], ctx["fabric"]
-    cpu0 = time.process_time()  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-    barriers = 0
+    ``("replay", entries)`` (sent by the supervisor to a freshly forked
+    replacement, see :mod:`repro.shard.supervisor`) fast-forwards the
+    replica through the journaled epoch history by the same step and
+    *discards* each outbox — the original worker already shipped those
+    handoffs before it died — after fingerprinting it against the
+    journaled outbox digest, so a replay that diverged is detected at
+    the worker, not at the final digest.
 
-    def step(epoch_end: float, batch_bytes: bytes) -> List[Handoff]:
-        nonlocal barriers
-        fabric.inject(pickle.loads(batch_bytes))
-        sim.run(until=epoch_end)
-        if sim.obs.on:
-            sim.obs.shard_barriers.inc()
-            if sim._flight is not None:
-                sim._flight.note("barrier", epoch_end, f"epoch#{barriers}")
-        barriers += 1
-        return fabric.drain_outbox()
-
+    ``("collect",)`` replies with :meth:`_Replica.collect`, which
+    carries the worker's full :class:`~repro.obs.snapshot.ObsSnapshot`
+    back over the pipe when obs is on."""
+    replica = _Replica(pickle.loads(workload_bytes),
+                       frozenset(plan.shards[shard_index]), shard_index, obs)
+    sim = replica.sim
     try:
         while True:
             message = conn.recv()
             kind = message[0]
             if kind == "epoch":
-                outbox = step(message[1], message[2])
-                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-                conn.send((outbox, sim.events_executed, cpu_s))
+                conn.send(replica.step(message[1], message[2]))
             elif kind == "replay":
-                _, entries, verify = message
                 from .recovery import outbox_digest
+                entries = message[1]
                 mismatches = 0
                 for epoch_end, batch_bytes, expected in entries:
-                    outbox = step(epoch_end, batch_bytes)
-                    if verify and expected is not None \
-                            and outbox_digest(outbox) != expected:
+                    outbox = replica.step(epoch_end, batch_bytes)[0]
+                    if outbox_digest(outbox) != expected:
                         mismatches += 1
                 if sim.obs.on:
                     sim.obs.shard_worker_restarts.inc()
@@ -382,13 +431,7 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
                             mismatches=mismatches)
                 conn.send(("replayed", len(entries), mismatches))
             elif kind == "collect":
-                cpu_s = time.process_time() - cpu0  # via: ignore[VIA003] per-worker cost accounting; never digest-visible
-                snapshot = None
-                if obs:
-                    from ..obs.snapshot import ObsSnapshot
-                    snapshot = ObsSnapshot.capture(sim.obs,
-                                                   shard=shard_index)
-                conn.send((workload.collect(ctx, owned), cpu_s, snapshot))
+                conn.send(replica.collect())
             else:  # "quit"
                 return
     finally:
@@ -396,11 +439,10 @@ def _worker_main(conn, workload_bytes: bytes, plan: ShardPlan,
 
 
 def _stats(plan: ShardPlan, backend: str, barriers: int, handoffs: int,
-           shard_events: List[int],
-           worker_cpu_s: Optional[List[float]] = None) -> Dict[str, Any]:
-    top = max(shard_events) if shard_events else 0
-    mean = (sum(shard_events) / len(shard_events)) if shard_events else 0
-    stats = {
+           shard_events: List[int], worker_cpu_s: List[float],
+           barrier_stall_s: float) -> Dict[str, Any]:
+    mean = sum(shard_events) / len(shard_events)
+    return {
         "mode": "sharded",
         "backend": backend,
         "k": plan.k,
@@ -413,14 +455,15 @@ def _stats(plan: ShardPlan, backend: str, barriers: int, handoffs: int,
         "handoffs": handoffs,
         "shard_events": shard_events,
         #: max/mean events per shard — 1.0 is a perfectly level load.
-        "imbalance": round(top / mean, 4) if mean else 1.0,
+        "imbalance": round(max(shard_events) / mean, 4) if mean else 1.0,
+        # Per-worker compute seconds (process CPU inside each step).
+        # max() is the critical path: on a host with >= K idle cores,
+        # wall clock converges to it (plus barrier overhead), so
+        # single_wall / max_worker_cpu_s is the measured parallel
+        # speedup independent of how many cores the *measuring* host
+        # happens to have.
+        "worker_cpu_s": [round(t, 6) for t in worker_cpu_s],
+        "max_worker_cpu_s": round(max(worker_cpu_s), 6),
+        #: parent wall time spent waiting at barriers (0 for inline).
+        "barrier_stall_s": round(barrier_stall_s, 6),
     }
-    if worker_cpu_s:
-        # Per-worker compute seconds.  max() is the critical path: on a
-        # host with >= K idle cores, wall clock converges to it (plus
-        # barrier overhead), so single_wall / max_worker_cpu_s is the
-        # measured parallel speedup independent of how many cores the
-        # *measuring* host happens to have.
-        stats["worker_cpu_s"] = [round(t, 6) for t in worker_cpu_s]
-        stats["max_worker_cpu_s"] = round(max(worker_cpu_s), 6)
-    return stats

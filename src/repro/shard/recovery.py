@@ -119,7 +119,7 @@ class RecoveryConfig:
     (:meth:`multiprocessing.connection.Connection.poll`); a miss is a
     *stall* and the worker is killed and replaced.  ``max_restarts`` is
     the run-wide budget across all shards — exhausting it degrades the
-    run to the inline oracle instead of raising.  Backoff before each
+    run to the inline pool instead of raising.  Backoff before each
     respawn is exponential per shard with jitter drawn from the
     dedicated :data:`BACKOFF_STREAM` seeded stream, so even wall-clock
     pauses are a pure function of ``(seed, restart ordinal)``.
@@ -128,13 +128,12 @@ class RecoveryConfig:
     """
 
     __slots__ = ("barrier_deadline_s", "max_restarts", "backoff_base_s",
-                 "backoff_max_s", "verify_replay_digests", "faults")
+                 "backoff_max_s", "faults")
 
     def __init__(self, barrier_deadline_s: float = 30.0,
                  max_restarts: int = 3,
                  backoff_base_s: float = 0.05,
                  backoff_max_s: float = 1.0,
-                 verify_replay_digests: bool = True,
                  faults: Optional["FaultPlan"] = None):
         if barrier_deadline_s <= 0:
             raise ValueError("barrier_deadline_s must be positive")
@@ -144,7 +143,6 @@ class RecoveryConfig:
         self.max_restarts = int(max_restarts)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_max_s = float(backoff_max_s)
-        self.verify_replay_digests = bool(verify_replay_digests)
         self.faults = faults
 
     def backoff_rng(self, seed: int) -> random.Random:

@@ -1,14 +1,15 @@
-"""The parent's mp barrier loop, with optional fault-tolerant recovery.
+"""The mp pool: forked shard workers, with optional fault recovery.
 
-:class:`ShardSupervisor` runs the mp epoch barrier protocol from the
-parent, in one loop: it forks one worker per shard, pickles each shard's
-injection batch once per epoch, waits for every reply under a bounded
-deadline and tears the workers down (join, terminate, kill, close) on
-every exit path.  A worker that dies or stalls raises a typed
-:class:`~repro.shard.recovery.ShardWorkerCrash` /
+:class:`ShardSupervisor` is the pool that
+:func:`~repro.shard.executor.barrier_loop` drives for the mp backend —
+the same loop that drives the inline pool.  It forks one worker per
+shard, sends each the epoch's pickled batch, waits for every reply
+under a bounded deadline and tears the workers down (join, terminate,
+kill, close) on every exit path.  A worker that dies or stalls raises a
+typed :class:`~repro.shard.recovery.ShardWorkerCrash` /
 :class:`~repro.shard.recovery.ShardWorkerTimeout` — never a hang.
 
-With a :class:`~repro.shard.recovery.RecoveryConfig` the same loop also
+With a :class:`~repro.shard.recovery.RecoveryConfig` the pool also
 *recovers* instead of raising:
 
 * every epoch's injection bytes — the very bytes sent over the pipes —
@@ -22,11 +23,11 @@ With a :class:`~repro.shard.recovery.RecoveryConfig` the same loop also
   so the barrier protocol resumes and the final K-shard digest is
   byte-identical to the fault-free run;
 * when the run-wide restart budget is exhausted the run *degrades*
-  deterministically: every worker is killed and the inline oracle
-  re-executes the workload from scratch in-process, flagged
+  deterministically: every worker is killed and the barrier loop
+  re-executes the workload from scratch on the inline pool, flagged
   ``degraded`` in stats — never a crash.
 
-Without one (``recovery=None``) the loop keeps no journal, computes no
+Without one (``recovery=None``) the pool keeps no journal, computes no
 outbox digest and injects no faults, so a plain mp run pays nothing for
 supervision.
 
@@ -52,14 +53,17 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .executor import (ShardWorkload, _epoch_ends, _route, _run_inline,
-                       _stats, _sum_partials, _worker_main)
+from .executor import ShardWorkload, _InlinePool, _worker_main, barrier_loop
 from .partition import ShardPlan
 from .recovery import (DEFAULT_BARRIER_DEADLINE_S, FAULT_KILL,
                        FAULT_KILL_AFTER_REPLY, FAULT_STALL, EpochJournal,
                        RecoveryConfig, RestartBudgetExhausted,
                        ShardWorkerCrash, ShardWorkerError,
                        ShardWorkerTimeout, outbox_digest)
+
+#: How each fault kind reads in the supervisor's flight notes.
+_FAULT_SIGNALS = {FAULT_KILL: "SIGKILL", FAULT_STALL: "SIGSTOP",
+                  FAULT_KILL_AFTER_REPLY: "SIGKILL-after-reply"}
 
 
 class _Worker:
@@ -75,12 +79,14 @@ class _Worker:
 
 
 class ShardSupervisor:
-    """Owns the worker pool and, under recovery, the epoch journal and
+    """The mp pool :func:`~repro.shard.executor.barrier_loop` drives:
+    owns the forked workers and, under recovery, the epoch journal and
     the restart ladder."""
+
+    backend = "mp"
 
     def __init__(self, workload: ShardWorkload, plan: ShardPlan,
                  obs: bool, config: Optional[RecoveryConfig], mp_ctx):
-        self.workload = workload
         self.plan = plan
         self.obs = obs
         self.config = config
@@ -105,7 +111,6 @@ class ShardSupervisor:
         self.backoff_s = 0.0
         # barrier position (for error attribution and replay)
         self.epoch = 0
-        self._prev_cpu = [0.0] * plan.k
         # parent-plane telemetry
         self.flight = None
         self.tracer = None
@@ -229,7 +234,6 @@ class ShardSupervisor:
                 reason = ("stall" if isinstance(exc, ShardWorkerTimeout)
                           else "crash")
             self._revive(shard_index, reason, barrier_time)
-            self._prev_cpu[shard_index] = 0.0
             self._send(shard_index, message, barrier_time)
 
     # -- restart ladder ----------------------------------------------------
@@ -279,8 +283,7 @@ class ShardSupervisor:
                     barrier_time)
                 replay_span.attrs["epochs"] = len(entries)
             try:
-                worker.conn.send(
-                    ("replay", entries, config.verify_replay_digests))
+                worker.conn.send(("replay", entries))
                 deadline = config.barrier_deadline_s * max(1, len(entries))
                 ack = self._await(worker, deadline, barrier_time)
             except ShardWorkerError:
@@ -315,124 +318,79 @@ class ShardSupervisor:
                              barrier_time)
 
     # -- fault injection ---------------------------------------------------
-    def _fault_targets(self, fault) -> Optional[_Worker]:
-        if not (0 <= fault.shard < self.plan.k):
-            return None
-        return self.workers[fault.shard]
-
-    def _apply_pre_faults(self, epoch: int, barrier_time: float) -> None:
-        """``kill`` and ``stall`` faults land at the top of the barrier,
-        before the epoch send — a kill is detected by the pre-send
-        sweep, a stall by the reply deadline."""
+    def _apply_faults(self, kinds: Tuple[str, ...], epoch: int,
+                      barrier_time: float) -> None:
+        """Fire this epoch's unfired faults of ``kinds`` on live workers.
+        ``kill`` and ``stall`` land before the epoch send (a kill is
+        found by the pre-send sweep, a stall by the reply deadline);
+        ``kill-after-reply`` lands once the replies are in — mid-handoff
+        — and is found at the next send (or at collect)."""
         faults = self.config.faults
         if faults is None:
             return
-        for fault in faults.pending(FAULT_KILL, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=10.0)
+        for kind in kinds:
+            for fault in faults.pending(kind, epoch):
+                fault.fired = True
+                if not 0 <= fault.shard < self.plan.k:
+                    continue
+                proc = self.workers[fault.shard].proc
+                if not proc.is_alive():
+                    continue
+                if kind == FAULT_STALL:
+                    os.kill(proc.pid, signal.SIGSTOP)
+                else:
+                    proc.kill()
+                    proc.join(timeout=10.0)
                 self._note("fault", barrier_time,
-                           f"SIGKILL shard{fault.shard}", epoch=epoch)
-        for fault in faults.pending(FAULT_STALL, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                os.kill(worker.proc.pid, signal.SIGSTOP)
-                self._note("fault", barrier_time,
-                           f"SIGSTOP shard{fault.shard}", epoch=epoch)
-
-    def _apply_post_faults(self, epoch: int, barrier_time: float) -> None:
-        """``kill-after-reply`` faults land after the barrier's replies
-        were routed — mid-handoff — and are detected at the next send
-        (or at collect, for the final barrier)."""
-        faults = self.config.faults
-        if faults is None:
-            return
-        for fault in faults.pending(FAULT_KILL_AFTER_REPLY, epoch):
-            fault.fired = True
-            worker = self._fault_targets(fault)
-            if worker is not None and worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=10.0)
-                self._note("fault", barrier_time,
-                           f"SIGKILL-after-reply shard{fault.shard}",
+                           f"{_FAULT_SIGNALS[kind]} shard{fault.shard}",
                            epoch=epoch)
 
-    # -- the barrier loop --------------------------------------------------
-    def run(self) -> Tuple[Dict[str, Any], Dict[str, int], Dict[str, Any]]:
-        plan, journal = self.plan, self.journal
-        ends = _epoch_ends(self.workload.horizon(), plan.lookahead)
-        if journal is not None and self.config.faults is not None:
-            self.config.faults.normalize(len(ends))
-        for shard_index in range(plan.k):
+    # -- the pool interface (driven by executor.barrier_loop) --------------
+    def start(self, epochs: int) -> None:
+        """Resolve the fault plan against the epoch count, then fork one
+        worker per shard."""
+        if self.journal is not None and self.config.faults is not None:
+            self.config.faults.normalize(epochs)
+        for shard_index in range(self.plan.k):
             self._spawn(shard_index)
-        handoffs = 0
-        stall_s = 0.0
-        epoch_records: List[Dict[str, Any]] = []
-        prev_events = [0] * plan.k
-        epoch_start = 0.0
-        batches: Dict[int, List[Any]] = {}
-        for epoch, epoch_end in enumerate(ends):
-            self.epoch = epoch
-            # One wire format: each batch is pickled once, and the same
-            # bytes go over the pipe and into the journal.
-            wire = [pickle.dumps(batches.get(i, []))
-                    for i in range(plan.k)]
-            if journal is not None:
-                self._apply_pre_faults(epoch, epoch_end)
-                self._revive_dead(epoch_end)
-                journal.record_send(epoch_end, wire)
-            for shard_index in range(plan.k):
-                self._send(shard_index,
-                           ("epoch", epoch_end, wire[shard_index]),
-                           epoch_end)
-            t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            replies = [self._reply(i, epoch_end,
-                                   ("epoch", epoch_end, wire[i]))
-                       for i in range(plan.k)]
-            epoch_stall = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
-            stall_s += epoch_stall
-            outboxes = [reply[0] for reply in replies]
-            batches = _route(plan, outboxes)
-            epoch_handoffs = sum(len(b) for b in batches.values())
-            handoffs += epoch_handoffs
-            if journal is not None:
-                for shard_index, outbox in enumerate(outboxes):
-                    journal.record_digest(epoch, shard_index,
-                                          outbox_digest(outbox))
-                self._apply_post_faults(epoch, epoch_end)
-            if self.obs:
-                from ..obs.timeline import make_epoch_record
-                events = [reply[1] for reply in replies]
-                cpu = [reply[2] for reply in replies]
-                epoch_records.append(make_epoch_record(
-                    epoch, epoch_start, epoch_end, epoch_handoffs,
-                    [e - p for e, p in zip(events, prev_events)],
-                    [max(0.0, c - p)
-                     for c, p in zip(cpu, self._prev_cpu)],
-                    epoch_stall))
-                prev_events = events
-                self._prev_cpu = cpu
-            epoch_start = epoch_end
-        # -- collect phase -------------------------------------------------
-        horizon = ends[-1] if ends else 0.0
-        self.epoch = len(ends)
+
+    def exchange(self, epoch: int, epoch_end: float, wire: List[bytes]
+                 ) -> Tuple[List[Any], float]:
+        """Send every worker its epoch batch and gather the replies.
+        Under recovery the bytes are journaled before the send, faults
+        fire at their protocol points, dead or stalled workers are
+        revived, and each reply's outbox digest is journaled."""
+        self.epoch = epoch
+        journal = self.journal
         if journal is not None:
+            self._apply_faults((FAULT_KILL, FAULT_STALL), epoch, epoch_end)
+            self._revive_dead(epoch_end)
+            journal.record_send(epoch_end, wire)
+        for shard_index in range(self.plan.k):
+            self._send(shard_index, ("epoch", epoch_end, wire[shard_index]),
+                       epoch_end)
+        t0 = time.perf_counter()  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
+        replies = [self._reply(i, epoch_end, ("epoch", epoch_end, wire[i]))
+                   for i in range(self.plan.k)]
+        stall_s = time.perf_counter() - t0  # via: ignore[VIA003] barrier stall is host wall time by definition; never digest-visible
+        if journal is not None:
+            for shard_index, reply in enumerate(replies):
+                journal.record_digest(epoch, shard_index,
+                                      outbox_digest(reply[0]))
+            self._apply_faults((FAULT_KILL_AFTER_REPLY,), epoch, epoch_end)
+        # Past this barrier: a revive from here replays this epoch too.
+        self.epoch = epoch + 1
+        return replies, stall_s
+
+    def collect(self, horizon: float) -> List[Any]:
+        """Every worker's ``(partial, cpu_s, snapshot)``; then ``quit``
+        and reap the pool."""
+        if self.journal is not None:
             self._revive_dead(horizon)
-        for shard_index in range(plan.k):
+        for shard_index in range(self.plan.k):
             self._send(shard_index, ("collect",), horizon)
-        partials: List[Dict[str, Any]] = []
-        worker_cpu_s: List[float] = []
-        snapshots = []
-        for shard_index in range(plan.k):
-            partial, cpu_s, snapshot = self._reply(shard_index, horizon,
-                                                   ("collect",))
-            partials.append(partial)
-            worker_cpu_s.append(cpu_s)
-            if snapshot is not None:
-                snapshots.append(snapshot)
+        results = [self._reply(i, horizon, ("collect",))
+                   for i in range(self.plan.k)]
         for worker in self.workers:
             try:
                 worker.conn.send(("quit",))
@@ -440,27 +398,10 @@ class ShardSupervisor:
                 pass
         # Workers that got ``quit`` exit on their own; give them time.
         self.shutdown(join_s=10.0)
-        counters, work = self.workload.finalize(_sum_partials(partials))
-        stats = _stats(plan, "mp", len(ends), handoffs,
-                       [p.get("events_executed", 0) for p in partials],
-                       worker_cpu_s)
-        stats["barrier_stall_s"] = round(stall_s, 6)
-        recovery = None
-        if journal is not None:
-            stats["supervised"] = True
-            recovery = stats["recovery"] = self.recovery_stats()
-        if self.obs and snapshots:
-            from ..obs.snapshot import merge_snapshots
-            merged = merge_snapshots(snapshots)
-            merged.add_epochs(epoch_records)
-            merged.add_shard_stats(worker_cpu_s, stall_s)
-            if recovery is not None:
-                self._attach_recovery(merged, recovery)
-            stats["obs"] = merged
-        return counters, work, stats
+        return results
 
     # -- accounting --------------------------------------------------------
-    def recovery_stats(self, degraded: bool = False) -> Dict[str, Any]:
+    def recovery_stats(self, degraded: bool) -> Dict[str, Any]:
         faults = self.config.faults
         fired = ([{"kind": f.kind, "barrier": f.barrier, "shard": f.shard}
                   for f in faults.faults if f.fired] if faults else [])
@@ -480,16 +421,6 @@ class ShardSupervisor:
             "faults_fired": fired,
         }
 
-    def _attach_recovery(self, merged, recovery: Dict[str, Any]) -> None:
-        """Fold the recovery accounting and the parent-plane flight and
-        span streams into a merged telemetry view."""
-        merged.add_recovery(
-            recovery,
-            flight_records=list(self.flight.to_records(shard=self.plan.k))
-            if self.flight else (),
-            span_records=list(self.tracer.to_records())
-            if self.tracer else ())
-
 
 def run_supervised(workload: ShardWorkload, plan: ShardPlan,
                    obs: bool = False,
@@ -506,32 +437,45 @@ def run_supervised(workload: ShardWorkload, plan: ShardPlan,
     even when workers are killed or stalled mid-run — crash recovery
     replays journaled handoff history into a replacement replica — and
     when the restart budget is exhausted the run degrades to the inline
-    oracle: deterministic, flagged ``stats["degraded"] = True``, never a
+    pool: deterministic, flagged ``stats["degraded"] = True``, never a
     crash.
     """
     try:
         mp_ctx = multiprocessing.get_context("fork")
     except ValueError:
-        # No fork on this platform: the inline oracle is always exact.
-        counters, work, stats = _run_inline(workload, plan, obs=obs)
+        # No fork on this platform: the inline pool is always exact.
+        counters, work, stats = barrier_loop(
+            workload, plan, _InlinePool(workload, plan, obs), obs)
         if recovery is not None:
             stats["requested_backend"] = "mp"
             stats["supervised"] = True
         return counters, work, stats
     supervisor = ShardSupervisor(workload, plan, obs, recovery, mp_ctx)
+    degraded: Optional[RestartBudgetExhausted] = None
     try:
-        return supervisor.run()
+        counters, work, stats = barrier_loop(workload, plan, supervisor,
+                                             obs)
     except RestartBudgetExhausted as exc:
         supervisor.shutdown()
-        counters, work, stats = _run_inline(workload, plan, obs=obs)
-        recovery_stats = supervisor.recovery_stats(degraded=True)
-        stats["supervised"] = True
-        stats["degraded"] = True
-        stats["degrade_reason"] = str(exc)
-        stats["requested_backend"] = "mp"
-        stats["recovery"] = recovery_stats
-        if obs and "obs" in stats:
-            supervisor._attach_recovery(stats["obs"], recovery_stats)
-        return counters, work, stats
+        degraded = exc
+        counters, work, stats = barrier_loop(
+            workload, plan, _InlinePool(workload, plan, obs), obs)
     finally:
         supervisor.shutdown()
+    if supervisor.journal is not None:
+        stats["supervised"] = True
+        if degraded is not None:
+            stats["degraded"] = True
+            stats["degrade_reason"] = str(degraded)
+            stats["requested_backend"] = "mp"
+        recovery_stats = stats["recovery"] = supervisor.recovery_stats(
+            degraded=degraded is not None)
+        if obs:
+            # Fold the parent-plane flight and span streams in beside
+            # the workers' (shard id K, past every worker's range).
+            stats["obs"].add_recovery(
+                recovery_stats,
+                flight_records=list(supervisor.flight.to_records(
+                    shard=plan.k)),
+                span_records=list(supervisor.tracer.to_records()))
+    return counters, work, stats

@@ -248,6 +248,35 @@ class TestExecutor:
         assert stats["barrier_stall_s"] >= 0.0
 
 
+class TestBackendParity:
+    """Both backends are pools under one barrier loop, so they must
+    report the same protocol: same stats keys, barriers, handoffs,
+    per-shard events and per-epoch timeline."""
+
+    @pytest.mark.parametrize("name", sorted(SHARD_WORKLOADS))
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_inline_and_mp_report_the_same_protocol(self, name, k):
+        from repro.shard.executor import _epoch_ends
+        cls = SHARD_WORKLOADS[name]
+        plan = partition(cls(42, "tiny").topology(), k, seed=42)
+        barriers = len(_epoch_ends(cls(42, "tiny").horizon(),
+                                   plan.lookahead))
+        runs = {backend: run_sharded(cls(42, "tiny"), k, backend=backend)[2]
+                for backend in ("inline", "mp")}
+        inline, mp = runs["inline"], runs["mp"]
+        assert set(inline) == set(mp)
+        assert inline["barriers"] == mp["barriers"] == barriers
+        assert inline["handoffs"] == mp["handoffs"]
+        assert inline["shard_events"] == mp["shard_events"]
+        timelines = {
+            backend: run_sharded(cls(42, "tiny"), k, backend=backend,
+                                 obs=True)[2]["obs"].epoch_records
+            for backend in ("inline", "mp")}
+        assert len(timelines["inline"]) == len(timelines["mp"]) == barriers
+        assert [r["handoffs"] for r in timelines["inline"]] == \
+            [r["handoffs"] for r in timelines["mp"]]
+
+
 class TestEpochEnds:
     """Barrier-schedule edges: the epoch protocol's only arithmetic."""
 
